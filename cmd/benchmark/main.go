@@ -1,18 +1,11 @@
 // Command benchmark regenerates the paper's evaluation artifacts on the
 // synthetic datasets. Each subcommand prints a table shaped like the
-// corresponding figure of Sec. VII; EXPERIMENTS.md records how the shapes
-// compare to the paper's.
+// corresponding figure of Sec. VII. The repository's end-to-end
+// benchmark — a real serverd driven over HTTP, with per-layer replay —
+// lives in bench/ (see bench/README.md).
 //
 // Usage:
 //
-//	benchmark explore           exploration hot path (ns/op, B/op, allocs/op)
-//	benchmark exec              candidate execution: pooled core vs preserved
-//	                            reference vs 2-shard cluster (before/after +
-//	                            row-set cross-check)
-//	benchmark shard             scatter-gather cluster vs single engine (1/2/4 shards)
-//	benchmark snapshot          cold-start: gob-rebuild vs mmap/heap snapshot boot
-//	                            (DBLP + LUBM, wall time + heap delta + round-trip
-//	                            result cross-check, writes BENCH_snapshot.json)
 //	benchmark fig4              effectiveness: MRR of C1/C2/C3 (DBLP + TAP)
 //	benchmark fig5              query performance vs baselines (Q1–Q10)
 //	benchmark fig6a             search time vs k and query length
@@ -31,18 +24,6 @@
 //	-unis N    LUBM universities (default 1)
 //	-tap N     TAP instances per class (default 25)
 //	-seed N    dataset seed (default 1)
-//	-k N       top-k override for explore/shard (default: per-case values;
-//	           k=1 and k=50 show how the oracle pruning shifts with the
-//	           candidate budget)
-//	-iters N   fixed iterations per explore/shard case (CI smoke mode;
-//	           0 = testing.Benchmark auto-calibration)
-//	-benchdir  directory for machine-readable BENCH_<name>.json files
-//	           (default "."); the explore subcommand writes
-//	           BENCH_explore.json next to its human table so the hot-path
-//	           perf trajectory (ns/op, B/op, allocs/op, cursors popped) is
-//	           tracked across PRs. explore and shard emit oracle-on (the
-//	           default), oracle-off, and serial-parallelism variant rows,
-//	           and fail if any variant changes any result
 package main
 
 import (
@@ -50,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"repro/internal/bench"
 )
@@ -60,9 +40,6 @@ func main() {
 	unis := flag.Int("unis", 1, "LUBM scale (universities)")
 	tapScale := flag.Int("tap", 25, "TAP scale (instances per class)")
 	seed := flag.Int64("seed", 1, "dataset seed")
-	iters := flag.Int("iters", 0, "fixed iterations per explore/shard-bench case (0 = auto benchtime; CI smoke uses a small value)")
-	k := flag.Int("k", 0, "top-k override for the explore and shard subcommands (0 = per-case defaults; try 1 or 50 to see pruning shift)")
-	benchdir := flag.String("benchdir", ".", "directory for BENCH_<name>.json output")
 	flag.Parse()
 
 	cmd := flag.Arg(0)
@@ -78,80 +55,6 @@ func main() {
 
 	run := func(name string) {
 		switch name {
-		case "explore":
-			env := dblpEnv()
-			results, mismatches := bench.RunExploreBench(env, bench.DefaultExploreBenchCases(*k), *iters)
-			fmt.Println(bench.FormatExploreBench(results))
-			for _, m := range mismatches {
-				fmt.Fprintf(os.Stderr, "ORACLE RESULT MISMATCH: %s\n", m)
-			}
-			if len(mismatches) > 0 {
-				log.Fatalf("%d oracle-on/oracle-off result mismatches", len(mismatches))
-			}
-			out := filepath.Join(*benchdir, "BENCH_explore.json")
-			if err := bench.WriteBenchJSON(out, results); err != nil {
-				log.Fatalf("writing %s: %v", out, err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-		case "exec":
-			env := dblpEnv()
-			fmt.Fprintln(os.Stderr, "building 2-shard cluster and measuring execute (pooled vs reference vs cluster)...")
-			results, mismatches := bench.RunExecBench(env, bench.PerfWorkload(), 1000, *iters)
-			fmt.Println(bench.FormatExecBench(results))
-			for _, m := range mismatches {
-				fmt.Fprintf(os.Stderr, "EXEC EQUIVALENCE MISMATCH: %s\n", m)
-			}
-			if len(mismatches) > 0 {
-				log.Fatalf("%d engine/reference/cluster execute mismatches", len(mismatches))
-			}
-			out := filepath.Join(*benchdir, "BENCH_exec.json")
-			if err := bench.WriteBenchJSON(out, results); err != nil {
-				log.Fatalf("writing %s: %v", out, err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-		case "shard":
-			env := dblpEnv()
-			fmt.Fprintln(os.Stderr, "building shard clusters (1, 2, 4 shards) and engine A/B variants...")
-			results, mismatches := bench.RunShardBench(env, bench.PerfWorkload(), []int{0, 1, 2, 4}, 1000, *iters, *k)
-			fmt.Println(bench.FormatShardBench(results))
-			for _, m := range mismatches {
-				fmt.Fprintf(os.Stderr, "EQUIVALENCE MISMATCH: %s\n", m)
-			}
-			if len(mismatches) > 0 {
-				log.Fatalf("%d cluster/engine equivalence mismatches", len(mismatches))
-			}
-			out := filepath.Join(*benchdir, "BENCH_shard.json")
-			if err := bench.WriteBenchJSON(out, results); err != nil {
-				log.Fatalf("writing %s: %v", out, err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-		case "snapshot":
-			fmt.Fprintln(os.Stderr, "building DBLP + LUBM and measuring cold-start (gob-rebuild vs mmap vs heap)...")
-			envs := []*bench.Env{
-				bench.NewDBLPEnv(*pubs, *seed),
-				bench.NewLUBMEnv(*unis, *seed),
-			}
-			dir, err := os.MkdirTemp("", "snapbench")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			results, mismatches, err := bench.RunSnapshotBench(envs, dir)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(bench.FormatSnapshotBench(results))
-			for _, m := range mismatches {
-				fmt.Fprintf(os.Stderr, "SNAPSHOT ROUND-TRIP MISMATCH: %s\n", m)
-			}
-			if len(mismatches) > 0 {
-				log.Fatalf("%d snapshot/rebuild result mismatches", len(mismatches))
-			}
-			out := filepath.Join(*benchdir, "BENCH_snapshot.json")
-			if err := bench.WriteBenchJSON(out, results); err != nil {
-				log.Fatalf("writing %s: %v", out, err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 		case "fig4":
 			env := dblpEnv()
 			fmt.Println(bench.RunFig4(env, bench.DBLPWorkload(), 10))
@@ -192,7 +95,7 @@ func main() {
 	}
 
 	if cmd == "all" {
-		for _, name := range []string{"explore", "exec", "shard", "snapshot", "fig4", "fig5", "fig6a", "fig6b",
+		for _, name := range []string{"fig4", "fig5", "fig6a", "fig6b",
 			"ablation-summary", "ablation-dmax", "ablation-cap",
 			"ablation-scale", "ablation-oracle"} {
 			run(name)

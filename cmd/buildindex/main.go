@@ -42,7 +42,6 @@ import (
 	ingestpkg "repro/internal/ingest"
 	"repro/internal/rdf"
 	"repro/internal/shard"
-	"repro/internal/snapfmt"
 	"repro/internal/snapshot"
 	"repro/internal/store"
 )
@@ -53,21 +52,19 @@ type sink interface {
 	AddTriple(t rdf.Triple)
 	LoadNTriples(r io.Reader) (int, error)
 	LoadTurtle(r io.Reader) (int, error)
-	LoadSnapshot(r io.Reader) (int, error)
 }
 
 func main() {
 	data := flag.String("data", "", "RDF input file")
-	format := flag.String("format", "ntriples", "input format: ntriples | turtle | snapshot (both snapshot generations, sniffed by magic)")
+	format := flag.String("format", "ntriples", "input format: ntriples | turtle | snapshot (an engine .swdb file written by -snapshot; its triples are re-ingested)")
 	snapOut := flag.String("snapshot", "", "write a mmap-able index snapshot: an engine file, or with -shards > 1 a directory of catalog + per-shard partition files")
 	shards := flag.Int("shards", 1, "partition the snapshot across N shards (-snapshot then names a directory)")
-	legacyOut := flag.String("store-snapshot", "", "write the legacy gob store snapshot of the parsed triples (deprecated: -snapshot persists the built indexes instead)")
 	walDir := flag.String("wal", "", "initialize an empty write-ahead log directory next to the engine snapshot, ready for serverd -wal (single-engine only; needs -snapshot)")
 	compactDir := flag.String("compact", "", "offline-checkpoint an existing live WAL directory: merge every batch, install a fresh snapshot + MANIFEST, truncate covered segments")
 	compactBase := flag.String("base", "", "base engine snapshot for -compact when the WAL directory has no MANIFEST yet (same file serverd booted with)")
 	flag.Parse()
 	if *compactDir != "" {
-		if *data != "" || *snapOut != "" || *legacyOut != "" || *walDir != "" || *shards > 1 {
+		if *data != "" || *snapOut != "" || *walDir != "" || *shards > 1 {
 			log.Fatal("-compact composes only with -base; it reads and rewrites the WAL directory in place")
 		}
 		compact(*compactDir, *compactBase)
@@ -81,9 +78,6 @@ func main() {
 	}
 	if *shards > 1 && *snapOut == "" {
 		log.Fatal("-shards needs -snapshot DIR (the partitioned output is the snapshot directory)")
-	}
-	if *shards > 1 && *legacyOut != "" {
-		log.Fatal("-store-snapshot applies to the single-engine build only")
 	}
 	if *walDir != "" && (*shards > 1 || *snapOut == "") {
 		log.Fatal("-wal initializes a log for a single-engine snapshot; it needs -snapshot FILE and no -shards")
@@ -116,21 +110,6 @@ func main() {
 		fmt.Printf("snapshot:       %s (%d KB: catalog + %d shard files)\n", *snapOut, dirSizeKB(*snapOut), cl.NumShards())
 		fmt.Printf("indexing time:  %v\n", cl.BuildDuration())
 		return
-	}
-
-	if *legacyOut != "" {
-		out, err := os.Create(*legacyOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		written, err := e.SaveSnapshot(out)
-		if err == nil {
-			err = out.Close()
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("store snapshot: %s (%d KB, legacy format — serverd re-derives the indexes from it)\n", *legacyOut, written/1024)
 	}
 
 	e.Build()
@@ -203,27 +182,19 @@ func compact(dir, base string) {
 	fmt.Printf("next boot:      serverd -wal %s replays nothing\n", dir)
 }
 
-// ingest loads the input file into dst, sniffing which snapshot
-// generation a -format snapshot file is.
+// ingest loads the input file into dst. A -format snapshot file is an
+// engine snapshot: it is booted and its triples re-ingested, so an
+// existing snapshot can be re-partitioned or re-snapshotted. The mapping
+// stays open until process exit — the decoded terms alias it.
 func ingest(dst sink, path, format string) (int, error) {
 	if format == "snapshot" {
-		kind, err := snapfmt.Sniff(path)
+		src, _, err := snapshot.LoadEngine(path, repro.Config{}, snapshot.LoadOptions{})
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("%s: %w", path, err)
 		}
-		if kind == "snapshot" {
-			// A current-format engine snapshot: boot it and re-ingest its
-			// triples, so an existing snapshot can be re-partitioned or
-			// re-snapshotted. The mapping stays open until process exit —
-			// the decoded terms alias it.
-			src, _, err := snapshot.LoadEngine(path, repro.Config{}, snapshot.LoadOptions{})
-			if err != nil {
-				return 0, err
-			}
-			st := src.Store()
-			st.ForEach(func(t store.IDTriple) { dst.AddTriple(st.Decode(t)) })
-			return st.Len(), nil
-		}
+		st := src.Store()
+		st.ForEach(func(t store.IDTriple) { dst.AddTriple(st.Decode(t)) })
+		return st.Len(), nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -235,8 +206,6 @@ func ingest(dst sink, path, format string) (int, error) {
 		return dst.LoadNTriples(f)
 	case "turtle":
 		return dst.LoadTurtle(f)
-	case "snapshot":
-		return dst.LoadSnapshot(f)
 	default:
 		return 0, fmt.Errorf("unknown format %q", format)
 	}

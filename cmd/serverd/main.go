@@ -119,14 +119,13 @@ type loader interface {
 	AddTriple(t rdf.Triple)
 	LoadNTriples(r io.Reader) (int, error)
 	LoadTurtle(r io.Reader) (int, error)
-	LoadSnapshot(r io.Reader) (int, error)
 }
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "RDF input file (N-Triples)")
 	turtle := flag.String("turtle", "", "RDF input file (Turtle)")
-	snapPath := flag.String("snapshot", "", "boot from a snapshot written by buildindex -snapshot: an engine file maps in milliseconds, a sharded directory boots the cluster from its partition files; legacy store snapshots still load (with an index rebuild)")
+	snapPath := flag.String("snapshot", "", "boot from a snapshot written by buildindex -snapshot: an engine file maps in milliseconds, a sharded directory boots the cluster from its partition files")
 	snapMode := flag.String("snapshot-mode", "auto", "snapshot byte backing: auto | mmap | heap")
 	snapVerify := flag.Bool("snapshot-verify", true, "verify per-section checksums when loading a snapshot (disable for lazy paging of beyond-RAM shards)")
 	walDir := flag.String("wal", "", "write-ahead log directory: serve a live backend with POST /v1/ingest, replaying any acknowledged batches found there on boot (single-engine only)")
@@ -185,30 +184,17 @@ func main() {
 		log.Fatalf("unknown scoring %q", *scheme)
 	}
 
-	// Sniff what -snapshot points at: a current-format engine file or
-	// cluster directory boots by mapping; a legacy store snapshot falls
-	// back to the parse-and-rebuild path below.
+	// What -snapshot points at: a directory boots a cluster, a file boots
+	// an engine; snapfmt.Open rejects anything that is not a snapshot.
 	snapBoot := "" // "", "engine", or "dir"
 	if *snapPath != "" {
 		fi, err := os.Stat(*snapPath)
 		if err != nil {
 			log.Fatal(err)
 		}
+		snapBoot = "engine"
 		if fi.IsDir() {
 			snapBoot = "dir"
-		} else {
-			kind, err := snapfmt.Sniff(*snapPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			switch kind {
-			case "snapshot":
-				snapBoot = "engine"
-			case "legacy":
-				log.Printf("deprecated: %s is a legacy store snapshot — the indexes will be re-derived at startup; rebuild it with buildindex -snapshot for mmap cold-start", *snapPath)
-			default:
-				log.Fatalf("%s is not a snapshot in either format", *snapPath)
-			}
 		}
 	}
 	var mode snapfmt.Mode
@@ -234,8 +220,6 @@ func main() {
 			log.Fatal("-wal boots from -snapshot and/or the log itself; load data through POST /v1/ingest or bake a base snapshot with buildindex")
 		case snapBoot == "dir":
 			log.Fatal("-wal needs a single-engine base; pass an engine snapshot file, not a cluster directory")
-		case *snapPath != "" && snapBoot != "engine":
-			log.Fatal("a legacy store snapshot cannot base a WAL boot; rebuild it with buildindex -snapshot")
 		}
 	} else {
 		switch {
@@ -351,8 +335,6 @@ func main() {
 			loadFile(*data, dst.LoadNTriples, "N-Triples file")
 		case *turtle != "":
 			loadFile(*turtle, dst.LoadTurtle, "Turtle file")
-		case *snapPath != "":
-			loadFile(*snapPath, dst.LoadSnapshot, "legacy snapshot")
 		case *gen != "":
 			var triples int
 			emit := func(t rdf.Triple) { dst.AddTriple(t); triples++ }

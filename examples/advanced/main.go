@@ -1,44 +1,55 @@
 // Command advanced demonstrates the production-oriented features around
-// the core pipeline: binary snapshots of the parsed data (fast reload of
-// the off-line phase), filter-operator keywords ("before 2005" — the
-// paper's Sec. IX extension), and EXPLAIN plans from the underlying
-// database engine.
+// the core pipeline: index snapshots (the off-line phase persisted and
+// mapped back in by the on-line phase, exactly as buildindex and serverd
+// hand it off), filter-operator keywords ("before 2005" — the paper's
+// Sec. IX extension), and EXPLAIN plans from the underlying database
+// engine.
 package main
 
 import (
 	"bytes"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"time"
 
 	repro "repro"
 	"repro/internal/datagen"
 	"repro/internal/rdf"
+	"repro/internal/snapshot"
 )
 
 func main() {
-	// ── Parse once, snapshot, reload: the offline phase made persistent.
+	// ── Build once, snapshot, reload: the offline phase made persistent.
 	triples := datagen.DBLPTriples(datagen.DBLPConfig{Publications: 5000, Seed: 11})
 	e := repro.New(repro.Config{K: 5})
 	e.AddTriples(triples)
 
-	var snap bytes.Buffer
+	dir, err := os.MkdirTemp("", "advanced")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "dblp.swdb")
 	start := time.Now()
-	n, err := e.SaveSnapshot(&snap)
+	if err := snapshot.WriteEngine(path, e); err != nil {
+		log.Fatal(err)
+	}
+	fi, err := os.Stat(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("snapshot: %d triples → %d KB in %v\n", len(triples), n/1024, time.Since(start))
+	fmt.Printf("index build + snapshot: %d triples → %d KB in %v\n", len(triples), fi.Size()/1024, time.Since(start))
 
-	// A fresh engine (think: a new process) restores from the snapshot.
-	start = time.Now()
-	e2 := repro.New(repro.Config{K: 5})
-	loaded, err := e2.LoadSnapshot(&snap)
+	// A fresh engine (think: a new process) maps the built indexes back
+	// in — no index rebuild.
+	e2, snap, err := snapshot.LoadEngine(path, repro.Config{K: 5}, snapshot.LoadOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	e2.Build()
-	fmt.Printf("restore + index build: %d triples in %v\n\n", loaded, time.Since(start))
+	defer snap.Close()
+	fmt.Printf("snapshot boot: %d triples in %v (%s-backed)\n\n", e2.NumTriples(), snap.LoadDuration, snap.Mode)
 
 	// For comparison: the N-Triples text round trip.
 	var nt bytes.Buffer

@@ -144,7 +144,7 @@ func pubsAtVenueBy(name string, venueClasses ...string) []*query.ConjunctiveQuer
 // the same class) cannot be produced by the summary-graph mapping — the
 // summary has exactly one vertex per class, so both variables collapse
 // into one. The workload therefore phrases such information needs over
-// distinct classes (e.g. Article cites Inproceedings); see EXPERIMENTS.md.
+// distinct classes (e.g. Article cites Inproceedings).
 
 // DBLPWorkload returns the 30 effectiveness queries of the Fig. 4 study.
 // Keywords use sentinel entities so the workload is stable across scales.

@@ -270,32 +270,6 @@ func (e *Engine) LoadNTriples(r io.Reader) (int, error) {
 	}
 }
 
-// SaveSnapshot writes the store's binary snapshot (see store.WriteTo):
-// the parsed, deduplicated triples with their dictionary. Derived indexes
-// are rebuilt on load, which is far cheaper than re-parsing RDF text.
-func (e *Engine) SaveSnapshot(w io.Writer) (int64, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.st.WriteTo(w)
-}
-
-// LoadSnapshot replaces the engine's data with a snapshot previously
-// written by SaveSnapshot and returns the number of triples loaded.
-func (e *Engine) LoadSnapshot(r io.Reader) (int, error) {
-	st, err := store.ReadSnapshot(r)
-	if err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sealed {
-		return 0, ErrSealed
-	}
-	e.st = st
-	e.built = false
-	return st.Len(), nil
-}
-
 // LoadTurtle reads Turtle data.
 func (e *Engine) LoadTurtle(r io.Reader) (int, error) {
 	e.mu.Lock()

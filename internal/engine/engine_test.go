@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -258,27 +257,6 @@ func TestConcurrentSearches(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestSnapshotThroughEngine round-trips data through the engine facade.
-func TestSnapshotThroughEngine(t *testing.T) {
-	e := fig1Engine(t)
-	var buf bytes.Buffer
-	if _, err := e.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2 := New(Config{})
-	n, err := e2.LoadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 22 {
-		t.Fatalf("loaded %d triples, want 22", n)
-	}
-	cands, _, err := e2.Search([]string{"2006", "cimiano", "aifb"})
-	if err != nil || len(cands) == 0 {
-		t.Fatalf("search on restored engine: %v (%d cands)", err, len(cands))
 	}
 }
 

@@ -17,8 +17,8 @@
 // rdf.Terms lazily, only after surviving filters and dedup. All scratch
 // state recycles through a sync.Pool, so a warm engine's execute path
 // allocates only the rows it returns. The pre-rewrite recursive
-// implementation is preserved in reference.go and pins this one's output
-// bit-for-bit in the golden tests.
+// implementation is preserved in reference_test.go and pins this one's
+// output bit-for-bit in the golden tests.
 package exec
 
 import (

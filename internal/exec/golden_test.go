@@ -1,7 +1,7 @@
 package exec
 
 // Golden equivalence: the iterative pooled join core must reproduce the
-// preserved reference implementation (reference.go) bit-for-bit — same
+// preserved reference implementation (reference_test.go) bit-for-bit — same
 // variables, same rows in the same discovery order, same Truncated flag —
 // on the Fig. 1 example, a DBLP-shaped dataset, and a LUBM dataset,
 // across every query shape the executor distinguishes (scans, stars,
@@ -180,7 +180,7 @@ func TestGoldenEquivalenceFig1(t *testing.T) {
 // TestGoldenEquivalenceSelfLoops exercises the repeated-variable
 // (sameVar) step with data where p(x,x) actually matches. The reference
 // enforces S == O here exactly as the distributed executor always has
-// (see reference.go on the preserved deviation).
+// (see reference_test.go on the preserved deviation).
 func TestGoldenEquivalenceSelfLoops(t *testing.T) {
 	knows := rdf.NewIRI("http://x/knows")
 	likes := rdf.NewIRI("http://x/likes")

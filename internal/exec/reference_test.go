@@ -2,11 +2,10 @@ package exec
 
 // The preserved reference implementation of conjunctive-query evaluation:
 // the recursive, closure-based nested-loop join exec shipped with before
-// the iterative pooled join core replaced it. It is kept (a) as the
-// golden-equivalence oracle — the golden tests pin the optimized
+// the iterative pooled join core replaced it. It is kept as the
+// golden-equivalence oracle: the golden tests pin the optimized
 // executor's rows bit-for-bit against this code on the DBLP and LUBM
-// workloads — and (b) as the "before" row of cmd/benchmark exec, so
-// BENCH_exec.json records what the rewrite bought on the same binary.
+// workloads.
 //
 // Do not optimize this file. Its value is that it does not change.
 //

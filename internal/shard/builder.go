@@ -99,19 +99,6 @@ func (b *Builder) LoadTurtle(r io.Reader) (int, error) {
 	return n, err
 }
 
-// LoadSnapshot reads a binary store snapshot (see store.ReadSnapshot) and
-// appends its triples to the stream.
-func (b *Builder) LoadSnapshot(r io.Reader) (int, error) {
-	st, err := store.ReadSnapshot(r)
-	if err != nil {
-		return 0, err
-	}
-	st.ForEach(func(t store.IDTriple) {
-		b.AddTriple(st.Decode(t))
-	})
-	return st.Len(), nil
-}
-
 // Build partitions the stream and returns the ready-to-serve cluster.
 //
 // The global pass interns terms in input order, so the coordinator's

@@ -263,25 +263,3 @@ func (r *Reader) Close() error {
 	}
 	return nil
 }
-
-// Sniff reports which snapshot family a file belongs to by its magic:
-// "snapshot" for this format, "legacy" for the deprecated stream
-// format (store.ReadSnapshot), "unknown" otherwise.
-func Sniff(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	var m [8]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return "unknown", nil
-	}
-	switch string(m[:]) {
-	case Magic:
-		return "snapshot", nil
-	case "RDFSNAP1":
-		return "legacy", nil
-	}
-	return "unknown", nil
-}

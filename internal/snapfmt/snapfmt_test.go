@@ -290,37 +290,6 @@ func TestBitFlipEverySection(t *testing.T) {
 	}
 }
 
-func TestSniff(t *testing.T) {
-	path, _ := writeTestSnapshot(t)
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "legacy.gob")
-	if err := os.WriteFile(legacy, []byte("RDFSNAP1 and then gob bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	other := filepath.Join(dir, "notes.txt")
-	if err := os.WriteFile(other, []byte("<http://a> <http://b> <http://c> ."), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	empty := filepath.Join(dir, "empty")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ path, want string }{
-		{path, "snapshot"},
-		{legacy, "legacy"},
-		{other, "unknown"},
-		{empty, "unknown"},
-	} {
-		got, err := Sniff(tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
-			t.Errorf("Sniff(%s) = %q, want %q", filepath.Base(tc.path), got, tc.want)
-		}
-	}
-}
-
 func TestCastSlice(t *testing.T) {
 	vals := []uint64{1, 2, 3, 1 << 40}
 	b := AsBytes(vals)

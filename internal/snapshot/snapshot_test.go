@@ -257,9 +257,16 @@ func TestEngineSnapshotCorruptionMatrix(t *testing.T) {
 	}
 
 	t.Run("bad-magic", func(t *testing.T) {
-		bad := writeCorrupt(t, func(b []byte) []byte { b[0] ^= 0xFF; return b })
-		if err := load(bad); !errors.Is(err, snapfmt.ErrBadMagic) {
-			t.Fatalf("got %v, want ErrBadMagic", err)
+		// A flipped magic byte, and the magic of the retired gob store
+		// stream, which is no longer a snapshot format.
+		retiredMagic := []byte{'R', 'D', 'F', 'S', 'N', 'A', 'P', '1'}
+		for _, mutate := range []func(b []byte) []byte{
+			func(b []byte) []byte { b[0] ^= 0xFF; return b },
+			func(b []byte) []byte { copy(b, retiredMagic); return b },
+		} {
+			if err := load(writeCorrupt(t, mutate)); !errors.Is(err, snapfmt.ErrBadMagic) {
+				t.Fatalf("got %v, want ErrBadMagic", err)
+			}
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {

@@ -76,19 +76,3 @@ func BenchmarkBuild(b *testing.B) {
 		st.Build()
 	}
 }
-
-// BenchmarkSnapshotRoundTrip measures serialize + deserialize.
-func BenchmarkSnapshotRoundTrip(b *testing.B) {
-	st := benchStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf writeCounter
-		if _, err := st.WriteTo(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type writeCounter struct{ n int }
-
-func (w *writeCounter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
