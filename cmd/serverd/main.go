@@ -2,8 +2,8 @@
 // API — the production face of the SearchWebDB reproduction. It loads a
 // dataset (from a file, a snapshot, or the built-in generators), builds
 // the indexes once, seals the backend read-only, and serves concurrent
-// search/execute/explain traffic with a result cache, request deadlines,
-// and Prometheus metrics.
+// search/execute/explain traffic with a byte-bounded result cache
+// (-cache-mb), request deadlines, and Prometheus metrics.
 //
 // With -shards N (N > 1) the dataset is subject-partitioned across N
 // in-process shards behind a scatter-gather coordinator (internal/shard):
@@ -153,7 +153,7 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent query computations (default 2×GOMAXPROCS)")
 	parallelism := flag.Int("parallelism", 0, "max goroutines per query for per-keyword stages: lookups, oracle build, shard merges (default GOMAXPROCS)")
 	oracle := flag.String("oracle", "auto", "Sec. IX distance-oracle pruning: auto | on | off")
-	cacheSize := flag.Int("cache", 1024, "search-result cache entries")
+	cacheMB := flag.Int64("cache-mb", 8, "result-cache budget in MiB of estimated heap, summed over cached searches; a candidate id resolves while its search is cached")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age of cached results (0 = no expiry; set for datasets that get swapped)")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
@@ -366,7 +366,7 @@ func main() {
 	}
 	serverCfg := server.Config{
 		Workers:             *workers,
-		SearchCacheSize:     *cacheSize,
+		CacheBytes:          *cacheMB << 20,
 		CacheTTL:            *cacheTTL,
 		DefaultTimeout:      *timeout,
 		MaxTimeout:          *maxTimeout,

@@ -1,7 +1,6 @@
 package keywordindex
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/analysis"
@@ -13,8 +12,11 @@ import (
 // This file is the distributed face of the keyword index: the scatter
 // half (LookupRaw) runs on every shard of a partitioned deployment, the
 // gather half (MergeRaw) runs on the coordinator, and together they
-// reproduce LookupOpts' result exactly. LookupOpts itself is implemented
-// as a single-part merge, so the two paths cannot drift apart.
+// reproduce LookupOpts' result exactly. LookupOpts is the ID-keyed
+// single-index path (lookup.go); both draw their per-token hits from
+// tokenHits and their score and order from matchScore, labelDF and
+// rankBefore, and a differential test pins LookupOpts to the
+// single-part merge MergeRaw(LookupRaw(...)).
 //
 // Why the raw contributions merge losslessly: every matching channel is
 // a property of a reference's own label — exact (the label contains the
@@ -108,8 +110,8 @@ func (ix *Index) refDataOf(ref int32) *RefData {
 }
 
 // LookupRaw computes this index's unmerged contributions for one keyword:
-// the same candidate generation as LookupOpts, but with the three match
-// channels kept separate and references identified by term, so a
+// the same per-token hits as LookupOpts (tokenHits), but with the three
+// match channels kept separate and references identified by term, so a
 // coordinator can merge contributions from several shards (MergeRaw)
 // into exactly the result a single global index would produce.
 //
@@ -141,36 +143,17 @@ func (ix *Index) LookupRaw(keyword string, opt LookupOptions) *RawLookup {
 
 	for i, tok := range tokens {
 		h := &raw.Hits[i]
-		// 1. Exact (stemmed) matches.
-		if exact := ix.postingsFor(tok); len(exact) > 0 {
+		exact := ix.tokenHits(tok, i, rawWords, opt, func(ref int32, score float64, semantic bool) {
+			if semantic {
+				record(&h.Semantic, ref, score)
+			} else {
+				record(&h.Fuzzy, ref, score)
+			}
+		})
+		if len(exact) > 0 {
 			h.HasExact = true
 			for _, p := range exact {
 				record(&h.Exact, p.ref, 1.0)
-			}
-			continue
-		}
-		// 2. Semantic matches via the thesaurus, on the raw word form.
-		if !opt.DisableSemantic && ix.th != nil && i < len(rawWords) {
-			for _, e := range ix.th.Lookup(rawWords[i]) {
-				for _, p := range ix.postingsFor(analysis.Stem(e.Term)) {
-					record(&h.Semantic, p.ref, e.Score)
-				}
-			}
-		}
-		// 3. Fuzzy matches within a bounded edit distance.
-		if d := opt.editDistance(tok); d > 0 {
-			for _, fm := range ix.fuzzySearch(tok, d) {
-				if fm.Dist == 0 {
-					continue // already handled as exact
-				}
-				decay := 1 - float64(fm.Dist)/float64(maxLen(len(tok), len(fm.Term)))
-				score := fuzzyWeight * decay
-				if score <= 0 {
-					continue
-				}
-				for _, p := range ix.postingsFor(fm.Term) {
-					record(&h.Fuzzy, p.ref, score)
-				}
 			}
 		}
 	}
@@ -240,12 +223,7 @@ func MergeRaw(parts []*RawLookup, opt LookupOptions, df func(term string) int,
 
 	// Score candidates that matched every token, resolving references
 	// into the coordinator's dictionary.
-	type scored struct {
-		m  summary.Match
-		sm float64
-		df int
-	}
-	var out []scored
+	var out []ranked
 	for key, c := range cands {
 		prod := 1.0
 		ok := true
@@ -259,10 +237,7 @@ func MergeRaw(parts []*RawLookup, opt LookupOptions, df func(term string) int,
 		if !ok {
 			continue
 		}
-		mean := math.Pow(prod, 1/float64(n))
-		norm := math.Sqrt(float64(n) / float64(maxLen(c.data.LabelLen, n)))
-
-		m := summary.Match{Kind: key.Kind, Score: mean * norm}
+		m := summary.Match{Kind: key.Kind, Score: matchScore(prod, n, c.data.LabelLen)}
 		resolved := true
 		need := func(t rdf.Term) store.ID {
 			id, ok := resolve(t)
@@ -286,33 +261,12 @@ func MergeRaw(parts []*RawLookup, opt LookupOptions, df func(term string) int,
 		if !resolved {
 			continue // term absent from the coordinator dictionary: not servable
 		}
-		d := 0
-		for _, t := range analysis.Analyze(c.data.LabelText) {
-			d += df(t)
-		}
-		out = append(out, scored{m: m, sm: m.Score, df: d})
+		out = append(out, ranked{m: m, df: labelDF(c.data.LabelText, df)})
 	}
 
-	// Rank by score, breaking ties by rarity (IDF flavor), then by the
-	// deterministic match order — over coordinator-dictionary IDs, the
-	// same total order a single global index uses.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].sm != out[j].sm {
-			return out[i].sm > out[j].sm
-		}
-		if out[i].df != out[j].df {
-			return out[i].df < out[j].df
-		}
-		return lessMatch(out[i].m, out[j].m)
-	})
-	if len(out) > opt.maxMatches() {
-		out = out[:opt.maxMatches()]
-	}
-	ms := make([]summary.Match, len(out))
-	for i, s := range out {
-		ms[i] = s.m
-	}
-	return ms
+	// Rank over coordinator-dictionary IDs: the same total order a single
+	// global index uses.
+	return topMatches(out, opt.maxMatches())
 }
 
 // mergeClasses unions a reference's owner classes across all shards that

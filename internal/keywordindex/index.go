@@ -12,6 +12,12 @@
 // returning the element descriptions of Sec. IV-A — [V-vertex, A-edge,
 // (C-vertex1..n)] for values, [A-edge, (C-vertex1..n)] for attribute
 // predicates — as summary.Match values with matching scores sm ∈ (0,1].
+//
+// There are two lookup paths. LookupOpts (lookup.go) serves one index
+// in its own ref space, at a cost that follows the hits. LookupRaw and
+// MergeRaw (distributed.go) serve a sharded deployment, keyed by term.
+// They share the hit generator, the score and the order, and a
+// differential test keeps their answers bit-identical.
 package keywordindex
 
 import (
@@ -19,7 +25,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/graph"
-	"repro/internal/rdf"
 	"repro/internal/store"
 	"repro/internal/summary"
 	"repro/internal/thesaurus"
@@ -80,6 +85,9 @@ type Index struct {
 	// postings, df, and tree are nil and every access goes through the
 	// accessor seam (see loadable.go) against mapped regions.
 	loaded *loadedIndex
+
+	// dfs memoizes each ref's DF tie-break for LookupOpts (lookup.go).
+	dfs dfMemo
 }
 
 // Build constructs the keyword index for a data graph. th may be nil to
@@ -322,24 +330,6 @@ func isDigits(s string) bool {
 // Lookup maps one user keyword to graph elements with default options.
 func (ix *Index) Lookup(keyword string) []summary.Match {
 	return ix.LookupOpts(keyword, LookupOptions{})
-}
-
-// LookupOpts maps one user keyword (a word or a quoted phrase) to graph
-// elements. A multi-token keyword matches an element only if every token
-// matches the element's label. The matching score sm combines the token
-// match quality (exact=1, semantic=thesaurus score, fuzzy=edit-distance
-// decay) with a length normalization that rewards labels fully covered by
-// the keyword — the TF-flavored adjustment the paper suggests for
-// multi-term labels (Sec. V).
-//
-// It is implemented as a single-part merge of the distributed lookup
-// (LookupRaw + MergeRaw, see distributed.go), so a sharded deployment's
-// scatter-gather path and the single-index path cannot diverge.
-func (ix *Index) LookupOpts(keyword string, opt LookupOptions) []summary.Match {
-	st := ix.g.Store()
-	return MergeRaw([]*RawLookup{ix.LookupRaw(keyword, opt)}, opt,
-		ix.docFreq,
-		func(t rdf.Term) (store.ID, bool) { return st.Lookup(t) })
 }
 
 func lessMatch(a, b summary.Match) bool {

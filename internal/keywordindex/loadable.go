@@ -126,12 +126,15 @@ func (ix *Index) numRefs() int {
 	return len(ix.loaded.refRecs)
 }
 
-// refMatch returns the match template of a reference. For a loaded
-// index the Classes slice aliases the mapped class arena; callers
-// treat match class lists as immutable everywhere already.
+// refMatch returns the match template of a reference. The Classes
+// slice aliases the index (the mapped class arena when loaded) and is
+// capped at its length, so an append by a caller copies instead of
+// overwriting the next reference's classes.
 func (ix *Index) refMatch(ref int32) summary.Match {
 	if ix.loaded == nil {
-		return ix.refs[ref].match
+		m := ix.refs[ref].match
+		m.Classes = m.Classes[:len(m.Classes):len(m.Classes)]
+		return m
 	}
 	r := &ix.loaded.refRecs[ref]
 	m := summary.Match{
@@ -141,7 +144,8 @@ func (ix *Index) refMatch(ref int32) summary.Match {
 		Class: store.ID(r.Class),
 	}
 	if r.ClassLen > 0 {
-		m.Classes = ix.loaded.classArena[r.ClassOff : r.ClassOff+uint64(r.ClassLen)]
+		end := r.ClassOff + uint64(r.ClassLen)
+		m.Classes = ix.loaded.classArena[r.ClassOff:end:end]
 	}
 	return m
 }

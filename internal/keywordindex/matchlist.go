@@ -50,7 +50,8 @@ func WriteMatchSections(w *snapfmt.Writer, group uint32, matches []summary.Match
 }
 
 // ReadMatchSections fixes up a match list written by
-// WriteMatchSections; the Classes slices alias the mapped arena.
+// WriteMatchSections; the Classes slices alias the mapped arena and
+// are capped at their length, so an append copies.
 func ReadMatchSections(r *snapfmt.Reader, group uint32) ([]summary.Match, error) {
 	recs, err := readSec[matchRec](r, snapfmt.SecNumericRecs, group)
 	if err != nil {
@@ -73,7 +74,8 @@ func ReadMatchSections(r *snapfmt.Reader, group uint32) ([]summary.Match, error)
 			Class: store.ID(rec.Class),
 		}
 		if rec.ClassLen > 0 {
-			out[i].Classes = arena[rec.ClassOff : rec.ClassOff+uint64(rec.ClassLen)]
+			end := rec.ClassOff + uint64(rec.ClassLen)
+			out[i].Classes = arena[rec.ClassOff:end:end]
 		}
 	}
 	return out, nil

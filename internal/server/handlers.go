@@ -446,11 +446,30 @@ func (s *Server) writeOverloaded(w http.ResponseWriter) {
 // ---------------------------------------------------------------------------
 // Search
 
-// searchEntry is one cached search: the executable candidates plus the
-// pre-rendered response template (Cached/Shared cleared).
+// searchEntry is one cached search: its search key (the cache is keyed
+// by the key's hash, the query id), the executable candidates, and the
+// pre-rendered response template (Cached/Shared cleared). Candidate ids
+// resolve through it, so they live exactly as long as the entry.
 type searchEntry struct {
+	key   string
 	cands []*engine.QueryCandidate
 	resp  searchResponse
+}
+
+// cachedSearch returns the cached entry under a query id, refreshing
+// its recency. The caller checks the entry's key or candidate ids: two
+// keys can share a query id.
+func (s *Server) cachedSearch(qid string) (*searchEntry, bool) {
+	v, ok := s.searchCache.Get(qid)
+	if !ok {
+		return nil, false
+	}
+	return v.(*searchEntry), true
+}
+
+// cacheSearch stores an entry under its query id.
+func (s *Server) cacheSearch(e *searchEntry) {
+	s.searchCache.Put(e.resp.QueryID, e, e.size())
 }
 
 // doSearch runs the cached, deduplicated search pipeline for normalized
@@ -462,16 +481,9 @@ type searchEntry struct {
 // or computed here).
 func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *searchEntry, hit, shared bool, err error) {
 	key := searchKey(norm, k)
+	qid := queryIDFor(key)
 	for {
-		if v, ok := s.searchCache.Get(key); ok {
-			e := v.(*searchEntry)
-			// Re-register the candidate ids: they may have been LRU-evicted
-			// from the (separate) candidate cache while the search entry
-			// survived, and clients holding ids from this response will
-			// execute them next.
-			for i, c := range e.cands {
-				s.candidates.Put(e.resp.Candidates[i].ID, c)
-			}
+		if e, ok := s.cachedSearch(qid); ok && e.key == key {
 			s.mCacheHits.Inc()
 			return e, true, false, nil
 		}
@@ -495,8 +507,8 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 				// Not a failure, and deterministic on a sealed engine:
 				// cache the no-match outcome so a hot misspelled query
 				// doesn't recompute the full pipeline on every repeat.
-				e := &searchEntry{resp: searchResponse{
-					QueryID:    queryIDFor(key),
+				e := &searchEntry{key: key, resp: searchResponse{
+					QueryID:    qid,
 					Keywords:   norm,
 					K:          k,
 					Candidates: []candidateJSON{}, // render [] rather than null
@@ -511,7 +523,7 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 				// A keyword can read as unmatched merely because the shard
 				// holding it was down — never cache a degraded no-match.
 				if info == nil || !info.Coverage.Degraded() {
-					s.searchCache.Put(key, e)
+					s.cacheSearch(e)
 				}
 				return e, nil
 			}
@@ -525,9 +537,10 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 			s.observeExploration(info)
 			s.observeCoverage(info.Coverage)
 			e := &searchEntry{
+				key:   key,
 				cands: cands,
 				resp: searchResponse{
-					QueryID:     queryIDFor(key),
+					QueryID:     qid,
 					Keywords:    norm,
 					K:           k,
 					Candidates:  make([]candidateJSON, len(cands)),
@@ -554,13 +567,13 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 					Description: c.Describe(),
 					SPARQL:      c.SPARQL(),
 				}
-				s.candidates.Put(e.resp.Candidates[i].ID, c)
 			}
 			// Degraded results are transient by nature — the failed group
 			// may be back next call — so they must never be served from
-			// the cache after the cluster has healed.
+			// the cache after the cluster has healed. Their candidate ids
+			// therefore do not resolve; execute them by keywords + rank.
 			if !info.Coverage.Degraded() {
-				s.searchCache.Put(key, e)
+				s.cacheSearch(e)
 			}
 			return e, nil
 		})
@@ -647,8 +660,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) resolveCandidate(ctx context.Context, w http.ResponseWriter, ref candidateRef) (*engine.QueryCandidate, string) {
 	switch {
 	case ref.ID != "":
-		if v, ok := s.candidates.Get(ref.ID); ok {
-			return v.(*engine.QueryCandidate), ref.ID
+		if qid, rank, ok := splitCandidateID(ref.ID); ok {
+			if e, ok := s.cachedSearch(qid); ok && rank >= 0 && rank < len(e.cands) &&
+				e.resp.Candidates[rank].ID == ref.ID {
+				return e.cands[rank], ref.ID
+			}
 		}
 		writeJSON(w, http.StatusNotFound, errorResponse{
 			Error: "unknown candidate id " + ref.ID + " (expired from the cache? re-run the search)",
@@ -1040,6 +1056,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"panics_recovered_total": s.mPanics.Value(),
 		}
 	}
+	cacheEntries, cacheBytes := s.searchCache.Len()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cluster":        cluster,
 		"ingest":         s.ingestStatsJSON(true),
@@ -1052,14 +1069,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"in_use":   s.pool.inUse(),
 		},
 		"search_cache": map[string]any{
-			"capacity": s.cfg.SearchCacheSize,
-			"entries":  s.searchCache.Len(),
-			"hits":     s.mCacheHits.Value(),
-			"misses":   s.mCacheMisses.Value(),
-		},
-		"candidate_cache": map[string]any{
-			"capacity": s.cfg.CandidateCacheSize,
-			"entries":  s.candidates.Len(),
+			"capacity_bytes": s.cfg.CacheBytes,
+			"bytes":          cacheBytes,
+			"entries":        cacheEntries,
+			"hits":           s.mCacheHits.Value(),
+			"misses":         s.mCacheMisses.Value(),
 		},
 		"singleflight_shared_total": s.mFlightShared.Value(),
 		"timeouts_total":            s.mTimeouts.Value(),

@@ -305,7 +305,7 @@ func keywordsTouch(keywords []string, changedSet map[string]struct{}, changed []
 
 // InvalidateKeywords drops every cached search whose keywords touch one
 // of the changed label tokens (the stemmed output of an epoch swap's
-// ChangedKeywords), along with the candidate ids it registered, and
+// ChangedKeywords), and with it the candidate ids it handed out, and
 // returns how many search entries were dropped. Entries whose keywords
 // are disjoint from the change survive — a swap does not empty the
 // cache, it surgically removes what it may have made stale (including
@@ -318,32 +318,16 @@ func (s *Server) InvalidateKeywords(changed []string) int {
 	for _, c := range changed {
 		set[c] = struct{}{}
 	}
-	var candIDs []string
-	n := s.searchCache.Invalidate(func(_ string, val any) bool {
-		e := val.(*searchEntry)
-		if !keywordsTouch(e.resp.Keywords, set, changed) {
-			return false
-		}
-		for _, cj := range e.resp.Candidates {
-			candIDs = append(candIDs, cj.ID)
-		}
-		return true
+	return s.searchCache.Invalidate(func(_ string, val any) bool {
+		return keywordsTouch(val.(*searchEntry).resp.Keywords, set, changed)
 	})
-	// Outside the search-cache sweep: the two caches have separate locks,
-	// and Invalidate's contract forbids reentry.
-	for _, id := range candIDs {
-		s.candidates.Remove(id)
-	}
-	return n
 }
 
-// flushQueryCaches empties the search and candidate caches — the
-// retention-merge hammer: a merge that *dropped* rows can stale any
-// cached result, so surgical keyword matching does not apply.
-func (s *Server) flushQueryCaches() int {
-	n := s.searchCache.Invalidate(func(string, any) bool { return true })
-	s.candidates.Invalidate(func(string, any) bool { return true })
-	return n
+// flushResultCache empties the result cache, and with it every candidate
+// id — the retention-merge hammer: a merge that *dropped* rows can stale
+// any cached result, so surgical keyword matching does not apply.
+func (s *Server) flushResultCache() int {
+	return s.searchCache.Invalidate(func(string, any) bool { return true })
 }
 
 // bindLive wires a live backend into the server: epoch/fsync/swap/
@@ -358,7 +342,7 @@ func (s *Server) bindLive(l *ingest.Live) {
 		s.mExpired.Add(uint64(o.Expired))
 		var n int
 		if o.RetentionMerge {
-			n = s.flushQueryCaches()
+			n = s.flushResultCache()
 		} else {
 			n = s.InvalidateKeywords(o.ChangedKeywords)
 		}

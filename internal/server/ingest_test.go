@@ -291,19 +291,14 @@ func TestSwapInvalidatesTouchedCacheEntries(t *testing.T) {
 func TestInvalidateKeywordsMatching(t *testing.T) {
 	s, _ := liveTestServer(t, ingest.Config{EpochMaxDelta: 1 << 20}, Config{})
 
-	put := func(key string, keywords []string, candIDs ...string) {
-		e := &searchEntry{resp: searchResponse{Keywords: keywords}}
-		for _, id := range candIDs {
-			e.resp.Candidates = append(e.resp.Candidates, candidateJSON{ID: id})
-			s.candidates.Put(id, &engine.QueryCandidate{})
-		}
-		s.searchCache.Put(key, e)
+	put := func(key string, keywords []string) {
+		s.searchCache.Put(key, &searchEntry{resp: searchResponse{Keywords: keywords}}, 1)
 	}
-	put("exact", []string{"crashsafe"}, "exact-0", "exact-1")
-	put("fuzzy", []string{"titles"}, "fuzzy-0") // "titl" vs changed "title"+stem
+	put("exact", []string{"crashsafe"})
+	put("fuzzy", []string{"titles"}) // "titl" vs changed "title"+stem
 	put("digits", []string{"2006"})
 	put("far", []string{"year"})
-	put("disjoint", []string{"aifb"}, "disjoint-0")
+	put("disjoint", []string{"aifb"})
 
 	n := s.InvalidateKeywords([]string{"crashsaf", "titl", "2007"})
 	if n != 2 {
@@ -319,16 +314,33 @@ func TestInvalidateKeywordsMatching(t *testing.T) {
 			t.Errorf("%s was wrongly invalidated", key)
 		}
 	}
-	for _, id := range []string{"exact-0", "exact-1", "fuzzy-0"} {
-		if _, ok := s.candidates.Get(id); ok {
-			t.Errorf("candidate %s survived its search entry", id)
-		}
-	}
-	if _, ok := s.candidates.Get("disjoint-0"); !ok {
-		t.Error("candidate of a surviving entry was dropped")
-	}
 	if s.InvalidateKeywords(nil) != 0 {
 		t.Error("empty change set invalidated something")
+	}
+
+	// Candidate ids live in their search's entry: an invalidated search's
+	// ids stop resolving, a surviving search's ids keep executing.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	topID := func(kw string) string {
+		t.Helper()
+		status, body := postJSON(t, ts, "/v1/search", searchRequest{Keywords: []string{kw}})
+		var sr searchResponse
+		if err := json.Unmarshal(body, &sr); err != nil || status != http.StatusOK || len(sr.Candidates) == 0 {
+			t.Fatalf("search %q: status %d: %s", kw, status, body)
+		}
+		return sr.Candidates[0].ID
+	}
+	dropped, kept := topID("publication"), topID("aifb")
+	if n := s.InvalidateKeywords([]string{"public"}); n != 1 {
+		t.Fatalf("invalidated %d searches, want 1", n)
+	}
+	if status, body := postJSON(t, ts, "/v1/execute", map[string]any{"id": dropped}); status != http.StatusNotFound ||
+		!strings.Contains(string(body), "unknown_candidate") {
+		t.Errorf("id of an invalidated search: status %d: %s", status, body)
+	}
+	if status, body := postJSON(t, ts, "/v1/execute", map[string]any{"id": kept}); status != http.StatusOK {
+		t.Errorf("id of a surviving search: status %d: %s", status, body)
 	}
 }
 

@@ -9,7 +9,8 @@
 // any number of requests proceed in parallel without locking; a bounded
 // worker pool caps concurrent query computations; every request runs
 // under a deadline threaded as context.Context down through exploration
-// and join execution; an LRU cache short-circuits repeated searches and a
+// and join execution; a byte-bounded LRU cache short-circuits repeated
+// searches (and resolves the candidate ids they handed out) and a
 // single-flight group collapses identical in-flight ones.
 package server
 
@@ -34,17 +35,14 @@ type Config struct {
 	// Workers caps concurrent query computations (default 2×GOMAXPROCS,
 	// set in New via runtime; see withDefaults).
 	Workers int
-	// SearchCacheSize is the entry capacity of the search-result LRU
-	// (default 1024).
-	SearchCacheSize int
-	// CandidateCacheSize is the entry capacity of the candidate-id LRU
-	// (default 16× SearchCacheSize, at least 4096: every cached search
-	// contributes up to k candidates).
-	CandidateCacheSize int
-	// CacheTTL bounds the age of cached search results and candidate
-	// ids: entries expire TTL after insertion even without LRU pressure
-	// (0 = never — correct for a sealed immutable dataset, the freshness
-	// knob for deployments that rebuild and swap datasets).
+	// CacheBytes bounds the result cache by the estimated heap bytes of
+	// its entries (default 8 MiB). Candidate ids resolve through their
+	// search's entry, so this one bound covers both.
+	CacheBytes int64
+	// CacheTTL bounds the age of cached search results, and with them of
+	// candidate ids: entries expire TTL after insertion even without LRU
+	// pressure (0 = never — correct for a sealed immutable dataset, the
+	// freshness knob for deployments that rebuild and swap datasets).
 	CacheTTL time.Duration
 	// DefaultTimeout applies when a request names none (default 10s).
 	DefaultTimeout time.Duration
@@ -93,14 +91,8 @@ func (c Config) withDefaults(procs int) Config {
 	if c.Workers <= 0 {
 		c.Workers = 2 * procs
 	}
-	if c.SearchCacheSize <= 0 {
-		c.SearchCacheSize = 1024
-	}
-	if c.CandidateCacheSize <= 0 {
-		c.CandidateCacheSize = 16 * c.SearchCacheSize
-		if c.CandidateCacheSize < 4096 {
-			c.CandidateCacheSize = 4096
-		}
+	if c.CacheBytes <= 0 {
+		c.CacheBytes = 8 << 20
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
@@ -144,8 +136,7 @@ type Server struct {
 	cfg   Config
 	start time.Time
 
-	searchCache *lruCache // normalized keywords+k → *searchEntry
-	candidates  *lruCache // candidate id → *engine.QueryCandidate
+	searchCache *lruCache // query id → *searchEntry
 	flight      *flightGroup
 	pool        *workerPool
 	slow        *slowlog
@@ -243,8 +234,7 @@ func New(eng engine.Queryer, cfg Config, procsHint int) *Server {
 		eng:         eng,
 		cfg:         cfg,
 		start:       time.Now(),
-		searchCache: newLRUCache(cfg.SearchCacheSize, cfg.CacheTTL),
-		candidates:  newLRUCache(cfg.CandidateCacheSize, cfg.CacheTTL),
+		searchCache: newLRUCache(cfg.CacheBytes, cfg.CacheTTL),
 		flight:      newFlightGroup(),
 		pool:        newWorkerPool(cfg.Workers),
 		slow:        newSlowlog(cfg.SlowlogSize, cfg.SlowlogThreshold),
@@ -455,8 +445,20 @@ func searchKey(norm []string, k int) string {
 	return b.String()
 }
 
-// queryIDFor derives the stable candidate-id prefix for a search key.
+// queryIDFor derives the stable query id of a search key: the result
+// cache's key and the prefix of the search's candidate ids,
+// q<hash>-<rank>.
 func queryIDFor(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return "q" + hex.EncodeToString(sum[:6])
+}
+
+// splitCandidateID splits a candidate id into its query id and rank.
+func splitCandidateID(id string) (qid string, rank int, ok bool) {
+	i := strings.LastIndexByte(id, '-')
+	if i < 0 {
+		return "", 0, false
+	}
+	rank, err := strconv.Atoi(id[i+1:])
+	return id[:i], rank, err == nil
 }

@@ -417,42 +417,52 @@ func BenchmarkSearchCached(b *testing.B) {
 	})
 }
 
-func TestCacheHitRepopulatesCandidateIDs(t *testing.T) {
-	// A candidate cache that holds exactly one search's worth of
-	// candidates: a second, different search evicts the first search's
-	// ids while its search entry survives. The later cache-hit search
-	// must re-register its ids so they are executable again.
-	s := testServer(t, Config{CandidateCacheSize: 3})
+// TestCandidateIDResolvesWhileSearchCached: a candidate id resolves
+// through its search's cache entry, so it executes exactly while that
+// search is cached, and answers 404 unknown_candidate after eviction.
+func TestCandidateIDResolvesWhileSearchCached(t *testing.T) {
+	// A one-byte budget keeps only the most recent search.
+	s := testServer(t, Config{CacheBytes: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	_, body := postJSON(t, ts, "/v1/search", searchRequest{Keywords: []string{"publication", "2006"}, K: 3})
-	var sr searchResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
+	search := func(kws ...string) []candidateJSON {
+		t.Helper()
+		status, body := postJSON(t, ts, "/v1/search", searchRequest{Keywords: kws, K: 3})
+		var sr searchResponse
+		if err := json.Unmarshal(body, &sr); err != nil || status != http.StatusOK || len(sr.Candidates) == 0 {
+			t.Fatalf("search %v: status %d: %s", kws, status, body)
+		}
+		return sr.Candidates
 	}
-	if len(sr.Candidates) == 0 {
-		t.Fatal("no candidates")
+	execute := func(id string) (int, string) {
+		t.Helper()
+		status, body := postJSON(t, ts, "/v1/execute", map[string]any{"id": id, "limit": 1})
+		return status, string(body)
 	}
-	topID := sr.Candidates[0].ID
 
-	// A different search evicts search A's candidates from the id cache.
-	postJSON(t, ts, "/v1/search", searchRequest{Keywords: []string{"author"}, K: 3})
-	if _, ok := s.candidates.Get(topID); ok {
-		t.Skip("first search's ids were not evicted; scenario not reproduced")
+	cands := search("publication", "2006")
+	top := cands[0].ID
+	if status, body := execute(top); status != http.StatusOK {
+		t.Fatalf("execute while cached: status %d: %s", status, body)
+	}
+	last := cands[len(cands)-1].ID
+	for _, id := range []string{top[:len(top)-1] + "99", "q0-0", "nohyphen", top + "x", last[:len(last)-1] + "0" + last[len(last)-1:]} {
+		if status, body := execute(id); status != http.StatusNotFound || !strings.Contains(body, "unknown_candidate") {
+			t.Errorf("forged id %q: status %d: %s", id, status, body)
+		}
 	}
 
-	// Search A again: a cache hit, which must make topID resolvable again.
-	_, body = postJSON(t, ts, "/v1/search", searchRequest{Keywords: []string{"publication", "2006"}, K: 3})
-	var sr2 searchResponse
-	if err := json.Unmarshal(body, &sr2); err != nil {
-		t.Fatal(err)
+	search("author") // evicts the first search, and its ids with it
+	if status, body := execute(top); status != http.StatusNotFound || !strings.Contains(body, "unknown_candidate") {
+		t.Fatalf("execute after eviction: status %d: %s", status, body)
 	}
-	if !sr2.Cached {
-		t.Fatal("second identical search should be a cache hit")
+
+	// Searching again recomputes the same stable ids, which resolve again.
+	if again := search("publication", "2006"); again[0].ID != top {
+		t.Fatalf("recomputed id %s, want %s", again[0].ID, top)
 	}
-	status, body := postJSON(t, ts, "/v1/execute", map[string]any{"id": topID, "limit": 1})
-	if status != http.StatusOK {
-		t.Fatalf("execute after cache-hit re-registration: status %d: %s", status, body)
+	if status, body := execute(top); status != http.StatusOK {
+		t.Fatalf("execute after re-search: status %d: %s", status, body)
 	}
 }
