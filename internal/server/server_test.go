@@ -156,6 +156,12 @@ func TestSearchCacheHit(t *testing.T) {
 	if sc["hits"].(float64) != 1 {
 		t.Errorf("stats cache hits = %v, want 1", sc["hits"])
 	}
+	if sc["entries"].(float64) != 1 || sc["bytes"].(float64) <= 0 || sc["capacity_bytes"].(float64) != 8<<20 {
+		t.Errorf("stats cache size = %v", sc)
+	}
+	if _, ok := stats["candidate_cache"]; ok {
+		t.Error("stats still reports a candidate_cache block")
+	}
 }
 
 func TestSearchTimeout(t *testing.T) {
