@@ -3,19 +3,16 @@
 // index size (dominated by V-vertices), graph index size (dominated by
 // the number of classes), and indexing time.
 //
-// With -snapshot it also persists the built indexes as a mmap-able
-// snapshot (internal/snapfmt): serverd then cold-starts by mapping the
-// file instead of re-deriving orderings, postings, and the summary
-// graph. With -shards N the stream is partitioned exactly as a sharded
-// deployment would and -snapshot names a directory receiving a catalog
-// plus one partition file per shard.
+// With -snapshot it also persists the built indexes as one mmap-able
+// engine snapshot file (internal/snapfmt): serverd then cold-starts by
+// mapping the file instead of re-deriving orderings, postings, and the
+// summary graph.
 //
 // Usage:
 //
 //	buildindex -data dblp.nt
 //	buildindex -data example.ttl -format turtle
 //	buildindex -data dblp.nt -snapshot dblp.swdb       # engine snapshot
-//	buildindex -data dblp.nt -shards 4 -snapshot dir/  # sharded snapshot
 //	buildindex -data dblp.swdb -format snapshot        # re-ingest one
 //	buildindex -data dblp.nt -snapshot dblp.swdb -wal wal/  # + empty WAL
 //
@@ -33,38 +30,25 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
 
 	repro "repro"
 	ingestpkg "repro/internal/ingest"
-	"repro/internal/rdf"
-	"repro/internal/shard"
 	"repro/internal/snapshot"
 	"repro/internal/store"
 )
 
-// sink is the ingestion surface shared by the single engine and the
-// shard builder.
-type sink interface {
-	AddTriple(t rdf.Triple)
-	LoadNTriples(r io.Reader) (int, error)
-	LoadTurtle(r io.Reader) (int, error)
-}
-
 func main() {
 	data := flag.String("data", "", "RDF input file")
 	format := flag.String("format", "ntriples", "input format: ntriples | turtle | snapshot (an engine .swdb file written by -snapshot; its triples are re-ingested)")
-	snapOut := flag.String("snapshot", "", "write a mmap-able index snapshot: an engine file, or with -shards > 1 a directory of catalog + per-shard partition files")
-	shards := flag.Int("shards", 1, "partition the snapshot across N shards (-snapshot then names a directory)")
-	walDir := flag.String("wal", "", "initialize an empty write-ahead log directory next to the engine snapshot, ready for serverd -wal (single-engine only; needs -snapshot)")
+	snapOut := flag.String("snapshot", "", "write a mmap-able engine snapshot file")
+	walDir := flag.String("wal", "", "initialize an empty write-ahead log directory next to the engine snapshot, ready for serverd -wal (needs -snapshot)")
 	compactDir := flag.String("compact", "", "offline-checkpoint an existing live WAL directory: merge every batch, install a fresh snapshot + MANIFEST, truncate covered segments")
 	compactBase := flag.String("base", "", "base engine snapshot for -compact when the WAL directory has no MANIFEST yet (same file serverd booted with)")
 	flag.Parse()
 	if *compactDir != "" {
-		if *data != "" || *snapOut != "" || *walDir != "" || *shards > 1 {
+		if *data != "" || *snapOut != "" || *walDir != "" {
 			log.Fatal("-compact composes only with -base; it reads and rewrites the WAL directory in place")
 		}
 		compact(*compactDir, *compactBase)
@@ -76,40 +60,14 @@ func main() {
 	if *data == "" {
 		log.Fatal("missing -data file")
 	}
-	if *shards > 1 && *snapOut == "" {
-		log.Fatal("-shards needs -snapshot DIR (the partitioned output is the snapshot directory)")
-	}
-	if *walDir != "" && (*shards > 1 || *snapOut == "") {
-		log.Fatal("-wal initializes a log for a single-engine snapshot; it needs -snapshot FILE and no -shards")
+	if *walDir != "" && *snapOut == "" {
+		log.Fatal("-wal initializes a log for an engine snapshot; it needs -snapshot FILE")
 	}
 
-	var (
-		e       *repro.Engine
-		builder *shard.Builder
-		dst     sink
-	)
-	if *shards > 1 {
-		builder = shard.NewBuilder(*shards, repro.Config{})
-		dst = builder
-	} else {
-		e = repro.New(repro.Config{})
-		dst = e
-	}
-
-	n, err := ingest(dst, *data, *format)
+	e := repro.New(repro.Config{})
+	n, err := ingest(e, *data, *format)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if builder != nil {
-		cl := builder.Build()
-		if err := cl.WriteSnapshotDir(*snapOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("data:           %d triples across %d shards %v\n", cl.NumTriples(), cl.NumShards(), cl.ShardSizes())
-		fmt.Printf("snapshot:       %s (%d KB: catalog + %d shard files)\n", *snapOut, dirSizeKB(*snapOut), cl.NumShards())
-		fmt.Printf("indexing time:  %v\n", cl.BuildDuration())
-		return
 	}
 
 	e.Build()
@@ -184,9 +142,9 @@ func compact(dir, base string) {
 
 // ingest loads the input file into dst. A -format snapshot file is an
 // engine snapshot: it is booted and its triples re-ingested, so an
-// existing snapshot can be re-partitioned or re-snapshotted. The mapping
-// stays open until process exit — the decoded terms alias it.
-func ingest(dst sink, path, format string) (int, error) {
+// existing snapshot can be re-snapshotted. The mapping stays open until
+// process exit — the decoded terms alias it.
+func ingest(dst *repro.Engine, path, format string) (int, error) {
 	if format == "snapshot" {
 		src, _, err := snapshot.LoadEngine(path, repro.Config{}, snapshot.LoadOptions{})
 		if err != nil {
@@ -209,16 +167,4 @@ func ingest(dst sink, path, format string) (int, error) {
 	default:
 		return 0, fmt.Errorf("unknown format %q", format)
 	}
-}
-
-// dirSizeKB sums the sizes of a snapshot directory's files.
-func dirSizeKB(dir string) int64 {
-	var total int64
-	filepath.Walk(dir, func(_ string, fi os.FileInfo, err error) error {
-		if err == nil && !fi.IsDir() {
-			total += fi.Size()
-		}
-		return nil
-	})
-	return total / 1024
 }

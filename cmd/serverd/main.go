@@ -5,23 +5,12 @@
 // search/execute/explain traffic with a byte-bounded result cache
 // (-cache-mb), request deadlines, and Prometheus metrics.
 //
-// With -shards N (N > 1) the dataset is subject-partitioned across N
-// in-process shards behind a scatter-gather coordinator (internal/shard):
-// keyword mapping fans out to every shard, execution runs as a
-// distributed bind-join, and results are provably identical to the
-// single-engine deployment. -replicas R gives every shard group R
-// failure domains with health-checked selection, hedged requests, and
-// cross-replica retries; per-shard circuit breakers and degraded partial
-// results (with a "coverage" block in every response) are always on for
-// sharded deployments. -chaos installs the deterministic fault injector
-// for resilience testing.
-//
-// With -snapshot pointing at a file or directory written by
-// buildindex -snapshot, the server cold-starts by mmapping the built
-// indexes — no ordering sort, posting build, or summary derivation —
-// and is serving in milliseconds. -snapshot-mode picks the byte
-// backing (mmap with lazy page-in, or heap); -snapshot-verify=false
-// skips the per-section checksum pass for beyond-RAM shards.
+// With -snapshot pointing at an engine file written by buildindex
+// -snapshot, the server cold-starts by mmapping the built indexes — no
+// ordering sort, posting build, or summary derivation — and is serving
+// in milliseconds. -snapshot-mode picks the byte backing (mmap with lazy
+// page-in, or heap); -snapshot-verify=false skips the per-section
+// checksum pass so open time does not grow with the file.
 //
 // With -wal DIR the backend is live instead of sealed: POST /v1/ingest
 // accepts triples (JSON, NDJSON, or N-Triples), each batch is written
@@ -30,9 +19,9 @@
 // accumulated delta into the indexes every -epoch-max-delta triples.
 // On boot the server replays any acknowledged batches in DIR over the
 // optional -snapshot base; /healthz reports {"status":"replaying"} with
-// progress (503) until the recovered state is servable. -wal requires a
-// single-engine backend and boots from the snapshot and/or the log
-// itself — -data/-turtle/-gen do not compose with it.
+// progress (503) until the recovered state is servable. -wal boots from
+// the snapshot and/or the log itself — -data/-turtle/-gen do not compose
+// with it.
 //
 // -checkpoint-interval / -checkpoint-wal-bytes run a background
 // checkpointer that snapshots the merged state into DIR, commits a
@@ -52,9 +41,7 @@
 //
 //	serverd -data dblp.nt -addr :8080
 //	serverd -snapshot dblp.swdb -addr :8080
-//	serverd -snapshot clusterdir/ -replicas 2 -addr :8080
-//	serverd -gen dblp -scale 2000 -shards 4 -replicas 2 -addr :8080
-//	serverd -gen dblp -shards 4 -chaos "error,shard=0" -addr :8080
+//	serverd -gen dblp -scale 2000 -addr :8080
 //	serverd -wal /var/lib/swdb/wal -addr :8080
 //	serverd -snapshot dblp.swdb -wal /var/lib/swdb/wal -fsync interval -addr :8080
 //
@@ -102,33 +89,23 @@ import (
 	repro "repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/ingest"
 	"repro/internal/rdf"
 	"repro/internal/scoring"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/snapfmt"
 	"repro/internal/snapshot"
 )
-
-// loader is the ingestion surface shared by the single engine and the
-// shard builder, so the flag-driven loading below is written once.
-type loader interface {
-	AddTriple(t rdf.Triple)
-	LoadNTriples(r io.Reader) (int, error)
-	LoadTurtle(r io.Reader) (int, error)
-}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "RDF input file (N-Triples)")
 	turtle := flag.String("turtle", "", "RDF input file (Turtle)")
-	snapPath := flag.String("snapshot", "", "boot from a snapshot written by buildindex -snapshot: an engine file maps in milliseconds, a sharded directory boots the cluster from its partition files")
+	snapPath := flag.String("snapshot", "", "boot from an engine snapshot file written by buildindex -snapshot (maps in milliseconds)")
 	snapMode := flag.String("snapshot-mode", "auto", "snapshot byte backing: auto | mmap | heap")
-	snapVerify := flag.Bool("snapshot-verify", true, "verify per-section checksums when loading a snapshot (disable for lazy paging of beyond-RAM shards)")
-	walDir := flag.String("wal", "", "write-ahead log directory: serve a live backend with POST /v1/ingest, replaying any acknowledged batches found there on boot (single-engine only)")
+	snapVerify := flag.Bool("snapshot-verify", true, "verify per-section checksums when loading a snapshot (disable for lazy paging of files larger than RAM)")
+	walDir := flag.String("wal", "", "write-ahead log directory: serve a live backend with POST /v1/ingest, replaying any acknowledged batches found there on boot")
 	fsyncFlag := flag.String("fsync", "always", "WAL durability policy: always (fsync before every ack) | interval (background cadence) | never (needs -wal)")
 	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "sync cadence for -fsync interval")
 	epochMaxDelta := flag.Int("epoch-max-delta", 0, "delta triples that trigger an epoch swap, merging the delta into the indexes (0 = 50000; needs -wal)")
@@ -142,16 +119,10 @@ func main() {
 	scale := flag.Int("scale", 1000, "scale for -gen")
 	k := flag.Int("k", 10, "default number of query candidates")
 	scheme := flag.String("scoring", "c3", "scoring function: c1 | c2 | c3")
-	shards := flag.Int("shards", 1, "subject-partitioned shards behind a scatter-gather coordinator (1 = single engine)")
-	replicas := flag.Int("replicas", 1, "replica failure domains per shard group (needs -shards > 1)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed delay before hedging a slow shard call on a sibling replica (0 = adaptive, p95 of recent latencies)")
-	requireFull := flag.Bool("require-full-coverage", false, "refuse degraded (partial shard coverage) results with 503 instead of serving them")
-	chaosSpec := flag.String("chaos", "", "fault-injection spec, e.g. \"error,shard=0;delay,delay=50ms,prob=0.1\" (TESTING ONLY; needs -shards > 1)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for probabilistic -chaos rules")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests to drain")
 	maxBodyBytes := flag.Int64("max-body-bytes", 1<<20, "request-body cap on the /v1 POST endpoints (larger bodies are answered 413)")
 	workers := flag.Int("workers", 0, "max concurrent query computations (default 2×GOMAXPROCS)")
-	parallelism := flag.Int("parallelism", 0, "max goroutines per query for per-keyword stages: lookups, oracle build, shard merges (default GOMAXPROCS)")
+	parallelism := flag.Int("parallelism", 0, "max goroutines per query for per-keyword stages: lookups, oracle build (default GOMAXPROCS)")
 	oracle := flag.String("oracle", "auto", "Sec. IX distance-oracle pruning: auto | on | off")
 	cacheMB := flag.Int64("cache-mb", 8, "result-cache budget in MiB of estimated heap, summed over cached searches; a candidate id resolves while its search is cached")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age of cached results (0 = no expiry; set for datasets that get swapped)")
@@ -184,19 +155,6 @@ func main() {
 		log.Fatalf("unknown scoring %q", *scheme)
 	}
 
-	// What -snapshot points at: a directory boots a cluster, a file boots
-	// an engine; snapfmt.Open rejects anything that is not a snapshot.
-	snapBoot := "" // "", "engine", or "dir"
-	if *snapPath != "" {
-		fi, err := os.Stat(*snapPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		snapBoot = "engine"
-		if fi.IsDir() {
-			snapBoot = "dir"
-		}
-	}
 	var mode snapfmt.Mode
 	switch strings.ToLower(*snapMode) {
 	case "auto", "":
@@ -211,15 +169,8 @@ func main() {
 	loadOpts := snapshot.LoadOptions{Mode: mode, SkipVerify: !*snapVerify}
 
 	if *walDir != "" {
-		switch {
-		case *shards > 1 || *replicas > 1:
-			log.Fatal("-wal needs a single-engine backend (live ingestion and the sharded coordinator do not compose)")
-		case *chaosSpec != "":
-			log.Fatal("-chaos lives at the shard transport seam; crash-test the ingest path with -crash-point instead")
-		case *data != "" || *turtle != "" || *gen != "":
+		if *data != "" || *turtle != "" || *gen != "" {
 			log.Fatal("-wal boots from -snapshot and/or the log itself; load data through POST /v1/ingest or bake a base snapshot with buildindex")
-		case snapBoot == "dir":
-			log.Fatal("-wal needs a single-engine base; pass an engine snapshot file, not a cluster directory")
 		}
 	} else {
 		switch {
@@ -236,41 +187,15 @@ func main() {
 		}
 	}
 
-	applyChaos := func(cl *shard.Cluster) {
-		if *chaosSpec == "" {
-			return
-		}
-		rules, err := faultinject.Parse(*chaosSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl.SetInjector(faultinject.New(*chaosSeed, rules...))
-		log.Printf("WARNING: fault injection ACTIVE (seed %d) — this server deliberately fails requests; never run production traffic with -chaos", *chaosSeed)
-		for i, r := range rules {
-			log.Printf("  chaos rule %d: %s", i, r)
-		}
-	}
-
 	var (
-		backend  engine.Queryer
-		dst      loader
-		builder  *shard.Builder
+		backend  *repro.Engine
 		snapInfo *snapshot.Info
 	)
 	switch {
 	case *walDir != "":
 		// Live path: ingest.Boot below loads the snapshot (if any) and
 		// replays the log; nothing to build here.
-	case snapBoot == "engine":
-		if *shards > 1 {
-			log.Fatal("-shards conflicts with an engine snapshot file; write a sharded snapshot with buildindex -shards N -snapshot DIR and pass the directory")
-		}
-		if *replicas > 1 {
-			log.Fatal("-replicas needs a sharded backend (replica groups exist per shard)")
-		}
-		if *chaosSpec != "" {
-			log.Fatal("-chaos needs a sharded backend (the injector lives at the shard transport seam)")
-		}
+	case *snapPath != "":
 		eng, info, err := snapshot.LoadEngine(*snapPath, cfg, loadOpts)
 		if err != nil {
 			log.Fatal(err)
@@ -278,45 +203,8 @@ func main() {
 		backend, snapInfo = eng, info
 		log.Printf("booted engine from snapshot %s in %v (%s-backed, format v%d, %.1f MB) — no index rebuild",
 			*snapPath, info.LoadDuration.Round(time.Microsecond), info.Mode, info.FormatVersion, float64(info.TotalBytes)/(1<<20))
-	case snapBoot == "dir":
-		cl, info, err := shard.NewBuilder(1, cfg).
-			Replicas(*replicas).
-			Resilience(shard.ResilienceConfig{HedgeDelay: *hedgeDelay}).
-			LoadSnapshotDir(*snapPath, loadOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *shards > 1 && *shards != cl.NumShards() {
-			log.Printf("note: -shards %d ignored — snapshot directory %s holds %d shards", *shards, *snapPath, cl.NumShards())
-		}
-		backend, snapInfo = cl, info
-		log.Printf("booted %d-shard cluster × %d replicas from snapshot %s in %v (%s-backed, format v%d, %.1f MB) — no index rebuild",
-			cl.NumShards(), cl.ReplicaCount(), *snapPath, info.LoadDuration.Round(time.Microsecond), info.Mode, info.FormatVersion, float64(info.TotalBytes)/(1<<20))
-		applyChaos(cl)
-	}
-
-	if *walDir != "" || snapBoot != "" {
-		// Live boot, or booted from a mapped snapshot: skip the
-		// load-and-build pipeline.
-	} else if *shards > 1 {
-		builder = shard.NewBuilder(*shards, cfg).
-			Replicas(*replicas).
-			Resilience(shard.ResilienceConfig{HedgeDelay: *hedgeDelay})
-		dst = builder
-	} else {
-		if *replicas > 1 {
-			log.Fatal("-replicas needs -shards > 1 (replica groups exist per shard)")
-		}
-		if *chaosSpec != "" {
-			log.Fatal("-chaos needs -shards > 1 (the injector lives at the shard transport seam)")
-		}
-		eng := repro.New(cfg)
-		backend = eng
-		dst = eng
-	}
-
-	buildStart := time.Now()
-	if *walDir == "" && snapBoot == "" {
+	default:
+		backend = repro.New(cfg)
 		loadStart := time.Now()
 		loadFile := func(path string, load func(io.Reader) (int, error), what string) {
 			f, err := os.Open(path)
@@ -332,12 +220,12 @@ func main() {
 		}
 		switch {
 		case *data != "":
-			loadFile(*data, dst.LoadNTriples, "N-Triples file")
+			loadFile(*data, backend.LoadNTriples, "N-Triples file")
 		case *turtle != "":
-			loadFile(*turtle, dst.LoadTurtle, "Turtle file")
+			loadFile(*turtle, backend.LoadTurtle, "Turtle file")
 		case *gen != "":
 			var triples int
-			emit := func(t rdf.Triple) { dst.AddTriple(t); triples++ }
+			emit := func(t rdf.Triple) { backend.AddTriple(t); triples++ }
 			switch *gen {
 			case "dblp":
 				datagen.DBLP(datagen.DBLPConfig{Publications: *scale, Seed: 1}, emit)
@@ -354,26 +242,17 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-
-		buildStart = time.Now()
-		if builder != nil {
-			cl := builder.Build()
-			backend = cl
-			log.Printf("partitioned into %d shards × %d replicas %v; indexes built in %v",
-				cl.NumShards(), cl.ReplicaCount(), cl.ShardSizes(), time.Since(buildStart).Round(time.Millisecond))
-			applyChaos(cl)
-		}
 	}
+	buildStart := time.Now()
 	serverCfg := server.Config{
-		Workers:             *workers,
-		CacheBytes:          *cacheMB << 20,
-		CacheTTL:            *cacheTTL,
-		DefaultTimeout:      *timeout,
-		MaxTimeout:          *maxTimeout,
-		SlowlogSize:         *slowlogSize,
-		SlowlogThreshold:    *slowlogThreshold,
-		MaxBodyBytes:        *maxBodyBytes,
-		RequireFullCoverage: *requireFull,
+		Workers:          *workers,
+		CacheBytes:       *cacheMB << 20,
+		CacheTTL:         *cacheTTL,
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
+		SlowlogSize:      *slowlogSize,
+		SlowlogThreshold: *slowlogThreshold,
+		MaxBodyBytes:     *maxBodyBytes,
 	}
 	wrapPprof := func(h http.Handler) http.Handler {
 		if !*pprofFlag {

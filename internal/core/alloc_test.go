@@ -15,6 +15,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/keywordindex"
+	"repro/internal/race"
 	"repro/internal/scoring"
 	"repro/internal/store"
 	"repro/internal/summary"
@@ -22,6 +23,9 @@ import (
 )
 
 func TestExploreSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
 	if testing.Short() {
 		t.Skip("builds a DBLP graph")
 	}
@@ -54,6 +58,9 @@ func TestExploreSteadyStateAllocs(t *testing.T) {
 }
 
 func TestExploreManyKeywordsSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
 	if testing.Short() {
 		t.Skip("builds a DBLP graph")
 	}

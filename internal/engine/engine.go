@@ -63,8 +63,7 @@ type Config struct {
 	UseOracle bool
 	// Parallelism caps the goroutines a single query may fan out to in
 	// its per-keyword stages — keyword-index lookups, the oracle's
-	// Dijkstras, the sharded coordinator's per-keyword merges
-	// (0 = one per CPU). Results never depend on it.
+	// Dijkstras (0 = one per CPU). Results never depend on it.
 	Parallelism int
 	// MaxExecRows caps distinct-answer tracking per execute when the
 	// caller sets no row limit, so a degenerate unlimited query cannot
@@ -78,8 +77,8 @@ type Config struct {
 
 // WithDefaults returns the configuration with the paper's defaults filled
 // in for unset fields — the normalization New applies. Exported for the
-// sharded cluster builder, which must serve the exact configuration a
-// single engine would.
+// comparison cluster's builder (internal/shard), which must answer with
+// the exact configuration a single engine would.
 func (c Config) WithDefaults() Config {
 	if c.K <= 0 {
 		c.K = 10
@@ -385,11 +384,6 @@ type SearchInfo struct {
 	OracleBuild time.Duration
 	// Elapsed is the total query-computation time.
 	Elapsed time.Duration
-	// Coverage reports how much of a sharded cluster answered the
-	// keyword scatter (nil for the single engine). When Degraded, the
-	// keyword matches — and every candidate derived from them — may be
-	// missing contributions from the failed shards.
-	Coverage *exec.Coverage
 }
 
 // UnmatchedKeywordsError reports keywords the index could not map to any
@@ -480,7 +474,7 @@ func (e *Engine) SearchKContext(ctx context.Context, keywords []string, k int) (
 	}
 
 	// 2–4. Augmentation, exploration, and query mapping — the tail shared
-	// with the sharded coordinator.
+	// with the comparison cluster.
 	cands, err := ComputeCandidates(ctx, e.explorer, e.sum, e.cfg, k, matches, filterSpecs, info)
 	if err != nil {
 		return nil, info, err

@@ -9,8 +9,8 @@ import (
 
 // FilterSpec is a parsed filter keyword (the Sec. IX filter-operator
 // extension): "before 2005", "after 1998", "<= 10", "> 3.5", …. It is
-// exported because the sharded-cluster coordinator (internal/shard)
-// parses filter keywords with exactly the same rules as the engine.
+// exported because the comparison cluster (internal/shard) parses
+// filter keywords with exactly the same rules as the engine.
 type FilterSpec struct {
 	Op    query.FilterOp
 	Value float64

@@ -13,9 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Queryer is the query-serving surface shared by the single-process
-// Engine and the sharded cluster coordinator (internal/shard.Cluster).
-// It is everything the HTTP serving layer (internal/server) needs: the
+// Queryer is the query-serving surface shared by the sealed Engine and
+// the WAL-backed live backend (internal/ingest.Live). It is everything
+// the HTTP serving layer (internal/server) needs: the
 // backend is sealed read-only, answers keyword searches with ranked
 // query candidates, executes and explains candidates, and reports its
 // size and build cost for introspection endpoints.
@@ -48,9 +48,10 @@ var _ Queryer = (*Engine)(nil)
 // summary-graph augmentation, top-k exploration, and element-to-query
 // mapping with filter attachment and deduplication — for pre-mapped
 // keyword matches. It is the code shared verbatim by Engine.SearchKContext
-// and the sharded coordinator: once the per-keyword matches agree, the
-// candidates agree bit-for-bit, which is the heart of the shard
-// equivalence argument (see DESIGN.md, "Sharded cluster").
+// and the benchmark's comparison cluster (internal/shard): once the
+// per-keyword matches agree, the candidates agree bit-for-bit, which is
+// the heart of the cluster equivalence argument (see DESIGN.md, "The
+// comparison cluster").
 //
 // matches holds the keyword-to-element mapping per keyword (all non-empty;
 // callers surface UnmatchedKeywordsError themselves), filterSpecs the

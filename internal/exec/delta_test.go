@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/race"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -157,6 +158,9 @@ func TestExecuteDeltaNewTermsOnly(t *testing.T) {
 // or empty delta, the execute hot path must allocate exactly what the
 // sealed-engine path does.
 func TestExecuteDeltaEmptyNoExtraAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
 	base := store.New()
 	base.AddAll(rdf.MustParseFig1())
 	base.Build()

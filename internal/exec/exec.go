@@ -94,50 +94,7 @@ type ExecStats struct {
 	RowsDeduped int64
 	// TruncatedBy is the bound that stopped evaluation (empty: none).
 	TruncatedBy TruncReason
-	// Coverage describes how much of a sharded cluster answered this
-	// query (nil for single-engine evaluations, which always see all the
-	// data). See Coverage.
-	Coverage *Coverage
 }
-
-// Coverage is the degraded-serving marker of the sharded cluster: how
-// many shard groups a scatter-gather query reached, and what the fault
-// layer did to get there. It rides exec.ResultSet.Stats for executes and
-// engine.SearchInfo for searches, surfaces in the /v1 JSON (and the
-// NDJSON trailer), and feeds the searchwebdb_hedges_total /
-// searchwebdb_degraded_responses_total metrics. A query is degraded
-// (partial results) when ShardsFailed > 0; whether that is served as a
-// partial 200 or a 503 is the serving layer's -require-full-coverage
-// policy, not the cluster's.
-//
-// It lives in package exec — the leaf both engine and shard already
-// import — so the coordinator can thread one struct through both result
-// paths without an import cycle.
-type Coverage struct {
-	// ShardsTotal is the number of shard groups in the cluster.
-	ShardsTotal int
-	// ShardsAnswered is how many groups contributed fully to the query.
-	ShardsAnswered int
-	// ShardsFailed is how many groups were down (replicas exhausted or
-	// breaker open); their contributions are missing from the results.
-	ShardsFailed int
-	// Retries counts replica attempts after a same-group failure.
-	Retries int
-	// HedgesFired counts hedged (duplicate, latency-racing) attempts.
-	HedgesFired int
-	// HedgeWins counts calls a hedged attempt answered first.
-	HedgeWins int
-	// BreakerOpen counts calls short-circuited by an open breaker
-	// without touching a replica.
-	BreakerOpen int
-	// Panics counts replica attempts that panicked and were converted
-	// to failures by the transport layer.
-	Panics int
-}
-
-// Degraded reports whether results are partial: at least one shard group
-// contributed nothing.
-func (c *Coverage) Degraded() bool { return c != nil && c.ShardsFailed > 0 }
 
 // ResultSet holds the answers to a conjunctive query.
 type ResultSet struct {

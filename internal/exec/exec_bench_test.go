@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/query"
+	"repro/internal/race"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
@@ -111,6 +112,9 @@ func BenchmarkExecuteLUBMTriangle(b *testing.B) {
 // count is bounded by the rows it returns (plus a small constant), not by
 // the rows it scans.
 func TestExecuteWarmAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
 	st := store.New()
 	st.AddAll(datagen.DBLPTriples(datagen.DBLPConfig{Publications: 1500, Seed: 3}))
 	st.Build()

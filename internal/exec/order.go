@@ -1,11 +1,11 @@
 package exec
 
 // The greedy join planner, factored out so the single engine and the
-// sharded cluster coordinator (internal/shard) run the *same* code: the
-// cluster's documented plan-equivalence guarantee — identical join
-// orders, tiers, and selectivity estimates — holds because both callers
-// feed this planner, differing only in where the counts come from (one
-// store vs. a scatter-sum over disjoint partitions).
+// benchmark's comparison cluster (internal/shard) run the *same* code:
+// the cluster's plan-equivalence guarantee — identical join orders,
+// tiers, and selectivity estimates — holds because both callers feed
+// this planner, differing only in where the counts come from (one store
+// vs. a scatter-sum over disjoint partitions).
 
 // PatternMeta describes one compiled pattern to the planner: its
 // variable slots (-1 = constant position) and the exact match count of

@@ -12,10 +12,9 @@ package exec
 // One deliberate deviation from the code it preserves: the shipped
 // walk's repeated-variable check for p(x,x) atoms was dead code — the
 // subject branch marked the slot bound before the object branch tested
-// it, so such patterns silently ignored the object component, diverging
-// from the distributed executor (internal/shard), which enforces S == O.
-// The reference enforces S == O (Definition 3 semantics), so one oracle
-// serves both executors.
+// it, so such patterns silently ignored the object component. The
+// reference enforces S == O (Definition 3 semantics), as the pooled
+// executor does.
 
 import (
 	"context"

@@ -1,3 +1,16 @@
+// Package faultinject is the deterministic fault-injection harness of
+// the write path: named crash points where the process kills itself
+// (CrashSet, serverd -crash-point) and armed filesystem errors that make
+// one call fail and return (DiskSet, serverd -disk-fault). The WAL,
+// epoch swap and checkpoint code call Hit/Check at the instants the
+// recovery contract has to survive; a nil set is inert, so production
+// pays one nil check per site.
+//
+// Determinism is the design constraint: a crash or disk-fault test that
+// cannot replay its failure cannot assert anything, so every arming is
+// counted ("fire on the (after+1)-th hit") rather than random.
+//
+// The harness is pure policy: it never imports the packages it breaks.
 package faultinject
 
 import (

@@ -15,7 +15,8 @@
 //
 // There are two lookup paths. LookupOpts (lookup.go) serves one index
 // in its own ref space, at a cost that follows the hits. LookupRaw and
-// MergeRaw (distributed.go) serve a sharded deployment, keyed by term.
+// MergeRaw (distributed.go) serve the benchmark's comparison cluster
+// (internal/shard), keyed by term.
 // They share the hit generator, the score and the order, and a
 // differential test keeps their answers bit-identical.
 package keywordindex

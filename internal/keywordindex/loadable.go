@@ -14,7 +14,7 @@ import (
 // owner-class list lives in the class arena, the label text in the
 // label arena; both are decoded on the fly from mapped regions, so the
 // (typically dominant) reference table needs no materialization at
-// load — a beyond-RAM shard pages references in as lookups touch them.
+// load — a beyond-RAM index pages references in as lookups touch them.
 type refRec struct {
 	ClassOff   uint64 // start in the class arena, in IDs
 	LabelOff   uint64 // start in the label arena, in bytes

@@ -11,8 +11,7 @@ import (
 )
 
 // matchRec is the fixed on-disk record for one summary.Match in a
-// standalone match list (the numeric-attribute matches of an index,
-// and the cluster catalog's global copy of them).
+// standalone match list (the numeric-attribute matches of an index).
 type matchRec struct {
 	ScoreBits uint64
 	ClassOff  uint64

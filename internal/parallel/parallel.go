@@ -1,8 +1,8 @@
 // Package parallel is the intra-query fork-join helper: a minimal,
 // allocation-conscious way to spread N independent tasks of one request
 // over a bounded set of goroutines. Every per-keyword stage of the query
-// pipeline (keyword-index lookups, oracle Dijkstras, the sharded
-// coordinator's per-keyword merges) fans out through it, so one
+// pipeline (keyword-index lookups, oracle Dijkstras) fans out through
+// it, so one
 // configuration knob — the worker cap threaded from engine.Config
 // (serverd -parallelism) — governs them all.
 //

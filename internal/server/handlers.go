@@ -72,9 +72,6 @@ type searchResponse struct {
 	// went (from the original computation when Cached). Cache hits keep
 	// the entry's numbers: they describe the result being served.
 	Exploration *explorationJSON `json:"exploration,omitempty"`
-	// Coverage reports how much of a sharded cluster answered (absent
-	// for the single engine). Degraded results are never cached.
-	Coverage *coverageJSON `json:"coverage,omitempty"`
 	// Trace is this request's span tree, present when the request asked
 	// for it with ?trace=1. Cache hits and followers trace their own
 	// (short) request, not the original computation.
@@ -131,9 +128,6 @@ type executeResponse struct {
 	// Execution reports how the join evaluation behind this result went,
 	// mirroring the search response's exploration block.
 	Execution *executionJSON `json:"execution,omitempty"`
-	// Coverage reports how much of a sharded cluster answered (absent
-	// for the single engine).
-	Coverage *coverageJSON `json:"coverage,omitempty"`
 	// Trace is this request's span tree, present under ?trace=1.
 	Trace []*trace.Node `json:"trace,omitempty"`
 }
@@ -156,46 +150,6 @@ func toExecutionJSON(rs *exec.ResultSet) *executionJSON {
 		RowsDeduped:      rs.Stats.RowsDeduped,
 		TruncationReason: string(rs.Stats.TruncatedBy),
 	}
-}
-
-// coverageJSON is the wire view of exec.Coverage: how much of the
-// sharded cluster answered, and what the fault-tolerance machinery spent
-// getting there. Absent entirely for non-clustered backends.
-type coverageJSON struct {
-	ShardsTotal    int  `json:"shards_total"`
-	ShardsAnswered int  `json:"shards_answered"`
-	ShardsFailed   int  `json:"shards_failed"`
-	Degraded       bool `json:"degraded"`
-	Retries        int  `json:"retries,omitempty"`
-	HedgesFired    int  `json:"hedges_fired,omitempty"`
-	HedgeWins      int  `json:"hedge_wins,omitempty"`
-	BreakerOpen    int  `json:"breaker_open,omitempty"`
-	Panics         int  `json:"panics,omitempty"`
-}
-
-func toCoverageJSON(c *exec.Coverage) *coverageJSON {
-	if c == nil {
-		return nil
-	}
-	return &coverageJSON{
-		ShardsTotal:    c.ShardsTotal,
-		ShardsAnswered: c.ShardsAnswered,
-		ShardsFailed:   c.ShardsFailed,
-		Degraded:       c.Degraded(),
-		Retries:        c.Retries,
-		HedgesFired:    c.HedgesFired,
-		HedgeWins:      c.HedgeWins,
-		BreakerOpen:    c.BreakerOpen,
-		Panics:         c.Panics,
-	}
-}
-
-// writeDegraded answers a request refused under RequireFullCoverage.
-func writeDegraded(w http.ResponseWriter, cov *coverageJSON) {
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-		Error: fmt.Sprintf("degraded result refused: %d of %d shard groups answered",
-			cov.ShardsAnswered, cov.ShardsTotal),
-		Code: "degraded"})
 }
 
 type planStepJSON struct {
@@ -517,14 +471,8 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 				}}
 				if info != nil {
 					e.resp.MatchCounts = info.MatchCounts
-					e.resp.Coverage = toCoverageJSON(info.Coverage)
-					s.observeCoverage(info.Coverage)
 				}
-				// A keyword can read as unmatched merely because the shard
-				// holding it was down — never cache a degraded no-match.
-				if info == nil || !info.Coverage.Degraded() {
-					s.cacheSearch(e)
-				}
+				s.cacheSearch(e)
 				return e, nil
 			}
 			if err != nil {
@@ -535,7 +483,6 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 				return nil, err
 			}
 			s.observeExploration(info)
-			s.observeCoverage(info.Coverage)
 			e := &searchEntry{
 				key:   key,
 				cands: cands,
@@ -556,7 +503,6 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 						OracleUsed:      info.Exploration.OracleUsed,
 						OracleBuildMS:   float64(info.OracleBuild.Microseconds()) / 1000,
 					},
-					Coverage: toCoverageJSON(info.Coverage),
 				},
 			}
 			for i, c := range cands {
@@ -568,13 +514,7 @@ func (s *Server) doSearch(ctx context.Context, norm []string, k int) (entry *sea
 					SPARQL:      c.SPARQL(),
 				}
 			}
-			// Degraded results are transient by nature — the failed group
-			// may be back next call — so they must never be served from
-			// the cache after the cluster has healed. Their candidate ids
-			// therefore do not resolve; execute them by keywords + rank.
-			if !info.Coverage.Degraded() {
-				s.cacheSearch(e)
-			}
+			s.cacheSearch(e)
 			return e, nil
 		})
 		if err != nil {
@@ -642,10 +582,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp := entry.resp
 	resp.Cached = hit
 	resp.Shared = shared
-	if s.cfg.RequireFullCoverage && resp.Coverage != nil && resp.Coverage.Degraded {
-		writeDegraded(w, resp.Coverage)
-		return
-	}
 	if wantTrace(r) {
 		resp.Trace = traceNodes(ctx)
 	}
@@ -766,11 +702,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeExecution(rs)
-	s.observeCoverage(rs.Stats.Coverage)
-	if s.cfg.RequireFullCoverage && rs.Stats.Coverage.Degraded() {
-		writeDegraded(w, toCoverageJSON(rs.Stats.Coverage))
-		return
-	}
 	var tn []*trace.Node
 	if wantTrace(r) {
 		tn = traceNodes(ctx)
@@ -788,7 +719,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		Truncated: rs.Truncated,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		Execution: toExecutionJSON(rs),
-		Coverage:  toCoverageJSON(rs.Stats.Coverage),
 		Trace:     tn,
 	}
 	for i, row := range rs.Rows {
@@ -840,9 +770,6 @@ type executeStreamTrailer struct {
 	Truncated bool           `json:"truncated"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 	Execution *executionJSON `json:"execution,omitempty"`
-	// Coverage reports how much of a sharded cluster answered (absent
-	// for the single engine).
-	Coverage *coverageJSON `json:"coverage,omitempty"`
 	// Trace is the request's span tree, present under ?trace=1.
 	Trace []*trace.Node `json:"trace,omitempty"`
 }
@@ -887,7 +814,6 @@ func (s *Server) writeExecuteNDJSON(w http.ResponseWriter, id string, cand *engi
 		Truncated: rs.Truncated,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		Execution: toExecutionJSON(rs),
-		Coverage:  toCoverageJSON(rs.Stats.Coverage),
 		Trace:     tn,
 	})
 	flush()
@@ -1038,27 +964,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mStageSeconds.Each(func(stage string, h *metrics.Histogram) {
 		stages[stage] = histQuantiles(h)
 	})
-	var cluster map[string]any
-	if cb, ok := s.eng.(clusterBackend); ok {
-		gh := cb.GroupHealth()
-		breakers := make(map[string]string, len(gh))
-		for _, g := range gh {
-			breakers[strconv.Itoa(g.Shard)] = g.Breaker
-		}
-		cluster = map[string]any{
-			"shards":                 len(gh),
-			"replicas":               cb.ReplicaCount(),
-			"breakers":               breakers,
-			"degraded_total":         s.mDegraded.Value(),
-			"hedges_total":           s.mHedges.Value(),
-			"shard_retries_total":    s.mShardRetries.Value(),
-			"require_full_coverage":  s.cfg.RequireFullCoverage,
-			"panics_recovered_total": s.mPanics.Value(),
-		}
-	}
 	cacheEntries, cacheBytes := s.searchCache.Len()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"cluster":        cluster,
 		"ingest":         s.ingestStatsJSON(true),
 		"snapshot":       s.snapshotJSON(true),
 		"uptime_seconds": s.Uptime().Seconds(),
@@ -1111,7 +1018,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.refreshBreakerGauges()
 	s.refreshIngestGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)

@@ -135,52 +135,6 @@ func TestTraceNDJSONTrailer(t *testing.T) {
 	}
 }
 
-// TestShardedTraceHasShardSpans pins the scatter-gather visibility: a
-// traced search against a 4-shard cluster shows one shard_lookup child
-// per shard plus the merge step, and a traced execute shows the
-// per-step bind joins with their per-shard children.
-func TestShardedTraceHasShardSpans(t *testing.T) {
-	ts := httptest.NewServer(shardedServer(t, Config{}).Handler())
-	defer ts.Close()
-
-	status, body := postJSON(t, ts, "/v1/search?trace=1", searchRequest{Keywords: []string{"thanh tran", "publication"}})
-	if status != http.StatusOK {
-		t.Fatalf("search status %d: %s", status, body)
-	}
-	var sr searchResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	names := spanNames(sr.Trace, nil)
-	if names["shard_lookup"] != 4 {
-		t.Errorf("want 4 shard_lookup spans, got %d (%v)", names["shard_lookup"], names)
-	}
-	if names["merge"] == 0 {
-		t.Errorf("sharded search trace missing merge span: %v", names)
-	}
-	if len(sr.Candidates) == 0 {
-		t.Fatal("no candidates")
-	}
-
-	status, body = postJSON(t, ts, "/v1/execute?trace=1",
-		executeRequest{candidateRef: candidateRef{ID: sr.Candidates[0].ID}})
-	if status != http.StatusOK {
-		t.Fatalf("execute status %d: %s", status, body)
-	}
-	var er executeResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	names = spanNames(er.Trace, nil)
-	if names["bind_join_step"] == 0 {
-		t.Errorf("sharded execute trace missing bind_join_step spans: %v", names)
-	}
-	if names["shard_join"] != 4*names["bind_join_step"] {
-		t.Errorf("want %d shard_join spans (4 per step), got %d",
-			4*names["bind_join_step"], names["shard_join"])
-	}
-}
-
 // TestSlowlogRetention drives the capture layer directly: the slowest
 // list keeps the N largest above the threshold (evicting the minimum),
 // and the error ring keeps the N most recent, most recent first.

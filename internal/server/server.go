@@ -26,7 +26,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
 
@@ -70,11 +69,6 @@ type Config struct {
 	// larger bodies are answered 413 (default 1 MiB — keyword queries and
 	// inline conjunctive queries are tiny).
 	MaxBodyBytes int64
-	// RequireFullCoverage refuses degraded results: when a sharded
-	// backend answers with failed shard groups, the response is 503
-	// (code "degraded") instead of a partial answer set. Default off —
-	// partial results with a coverage block beat unavailability.
-	RequireFullCoverage bool
 	// Snapshot describes the snapshot the backend was booted from, for
 	// the observability surface (/healthz, /stats, and the
 	// searchwebdb_snapshot_load_seconds gauge). nil when the backend was
@@ -126,10 +120,10 @@ func (c Config) withDefaults(procs int) Config {
 	return c
 }
 
-// Server serves one sealed query backend over HTTP. Create it with New,
-// mount Handler on an http.Server. The backend is anything implementing
-// engine.Queryer — the single-process engine or the sharded cluster
-// coordinator (internal/shard.Cluster) — and the server cannot tell the
+// Server serves one query backend over HTTP. Create it with New, mount
+// Handler on an http.Server. The backend is anything implementing
+// engine.Queryer — the sealed engine or the WAL-backed live backend
+// (internal/ingest.Live) — and the query path cannot tell the
 // difference.
 type Server struct {
 	eng   engine.Queryer
@@ -175,15 +169,8 @@ type Server struct {
 	mExecDeduped    *metrics.Counter
 	mExecTruncated  *metrics.CounterVec
 
-	// Fault-tolerance telemetry: recovered handler panics, requests
-	// served degraded (some shard groups down), hedges and cross-replica
-	// retries spent, and the per-shard breaker state (0 closed, 1
-	// half-open, 2 open; refreshed on scrape).
-	mPanics       *metrics.Counter
-	mDegraded     *metrics.Counter
-	mHedges       *metrics.Counter
-	mShardRetries *metrics.Counter
-	mBreakerState *metrics.GaugeVec
+	// Handler panics recovered by the serving middleware.
+	mPanics *metrics.Counter
 
 	// Cold-start provenance: how long the snapshot load took (0 when the
 	// backend was built from a triple stream rather than booted).
@@ -208,15 +195,6 @@ type Server struct {
 	mCheckpointSeconds *metrics.Histogram
 	mCheckpointAge     *metrics.FloatGauge
 	mExpired           *metrics.Counter
-}
-
-// clusterBackend is the optional introspection surface of a sharded
-// backend (shard.Cluster implements it); the server publishes breaker
-// states and the replication factor when the backend provides them.
-// Plain engines don't implement it and serve exactly as before.
-type clusterBackend interface {
-	GroupHealth() []shard.GroupHealth
-	ReplicaCount() int
 }
 
 // New builds a server over a query backend, sealing it: any outstanding
@@ -283,14 +261,6 @@ func New(eng engine.Queryer, cfg Config, procsHint int) *Server {
 		"Executed queries truncated, by reason (limit, max_rows, step_budget).", "reason")
 	s.mPanics = s.reg.Counter("searchwebdb_panics_total",
 		"Handler panics recovered by the serving middleware (answered 500).")
-	s.mDegraded = s.reg.Counter("searchwebdb_degraded_responses_total",
-		"Computed searches and executes that lost at least one shard group (partial results).")
-	s.mHedges = s.reg.Counter("searchwebdb_hedges_total",
-		"Hedged shard requests fired across computed searches and executes.")
-	s.mShardRetries = s.reg.Counter("searchwebdb_shard_retries_total",
-		"Cross-replica retries spent across computed searches and executes.")
-	s.mBreakerState = s.reg.GaugeVec("searchwebdb_shard_breaker_state",
-		"Per-shard circuit breaker state (0 closed, 1 half-open, 2 open), refreshed on scrape.", "shard")
 	s.mSnapLoad = s.reg.FloatGauge("searchwebdb_snapshot_load_seconds",
 		"Wall time of the snapshot load the backend booted from (0 when built from a triple stream).")
 	if cfg.Snapshot != nil {
@@ -319,7 +289,6 @@ func New(eng engine.Queryer, cfg Config, procsHint int) *Server {
 	if cfg.Live != nil {
 		s.bindLive(cfg.Live)
 	}
-	s.refreshBreakerGauges()
 	return s
 }
 
@@ -343,38 +312,6 @@ func (s *Server) snapshotJSON(detailed bool) map[string]any {
 		out["sections"] = si.Sections
 	}
 	return out
-}
-
-// observeCoverage folds one computed search's or execute's fault
-// accounting into the registry.
-func (s *Server) observeCoverage(cov *exec.Coverage) {
-	if cov == nil {
-		return
-	}
-	s.mHedges.Add(uint64(cov.HedgesFired))
-	s.mShardRetries.Add(uint64(cov.Retries))
-	if cov.Degraded() {
-		s.mDegraded.Inc()
-	}
-}
-
-// refreshBreakerGauges re-reads the backend's breaker states into the
-// per-shard gauge family. No-op for non-clustered backends.
-func (s *Server) refreshBreakerGauges() {
-	cb, ok := s.eng.(clusterBackend)
-	if !ok {
-		return
-	}
-	for _, gh := range cb.GroupHealth() {
-		var v int64
-		switch gh.Breaker {
-		case "half_open":
-			v = 1
-		case "open":
-			v = 2
-		}
-		s.mBreakerState.With(strconv.Itoa(gh.Shard)).Set(v)
-	}
 }
 
 // observeExecution folds one execute's work counters into the registry.

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"io"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -20,11 +17,9 @@ import (
 // stream and the transient global graph are released; only the shards and
 // the coordinator's catalog remain.
 type Builder struct {
-	shards   int
-	replicas int
-	res      ResilienceConfig
-	cfg      engine.Config
-	triples  []rdf.Triple
+	shards  int
+	cfg     engine.Config
+	triples []rdf.Triple
 }
 
 // NewBuilder returns a builder for a cluster of n shards (n < 1 is
@@ -33,73 +28,13 @@ func NewBuilder(n int, cfg engine.Config) *Builder {
 	if n < 1 {
 		n = 1
 	}
-	return &Builder{shards: n, replicas: 1, cfg: cfg.WithDefaults()}
+	return &Builder{shards: n, cfg: cfg.WithDefaults()}
 }
-
-// Replicas sets the replication factor R: every shard group carries R
-// replicas for fault tolerance (r < 1 is treated as 1). The replicas of
-// a group share the shard's sealed, immutable indexes — in this
-// in-process deployment they are failure domains for the resilience
-// layer (each has its own transport, health record, and place in the
-// hedge/retry order), not independent copies of the data, which keeps
-// R-way groups memory-free and replica answers bit-identical by
-// construction. The network cut will back each replica with its own
-// store without touching the orchestration.
-func (b *Builder) Replicas(r int) *Builder {
-	if r < 1 {
-		r = 1
-	}
-	b.replicas = r
-	return b
-}
-
-// Resilience overrides the retry/hedge/breaker tuning of the cluster's
-// shard groups. The zero value (the default) applies the documented
-// defaults.
-func (b *Builder) Resilience(cfg ResilienceConfig) *Builder {
-	b.res = cfg
-	return b
-}
-
-// AddTriple appends one triple to the stream.
-func (b *Builder) AddTriple(t rdf.Triple) { b.triples = append(b.triples, t) }
 
 // AddTriples appends triples to the stream.
 func (b *Builder) AddTriples(ts []rdf.Triple) { b.triples = append(b.triples, ts...) }
 
-// LoadNTriples reads N-Triples data, mirroring engine.Engine.LoadNTriples.
-func (b *Builder) LoadNTriples(r io.Reader) (int, error) {
-	nr := rdf.NewNTriplesReader(r)
-	n := 0
-	for {
-		t, err := nr.Read()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		b.AddTriple(t)
-		n++
-	}
-}
-
-// LoadTurtle reads Turtle data, mirroring engine.Engine.LoadTurtle.
-func (b *Builder) LoadTurtle(r io.Reader) (int, error) {
-	p, err := rdf.NewTurtleParser(r)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	err = p.Parse(func(t rdf.Triple) error {
-		b.AddTriple(t)
-		n++
-		return nil
-	})
-	return n, err
-}
-
-// Build partitions the stream and returns the ready-to-serve cluster.
+// Build partitions the stream and returns the ready-to-query cluster.
 //
 // The global pass interns terms in input order, so the coordinator's
 // dictionary assigns exactly the IDs a single engine fed the same stream
@@ -107,7 +42,6 @@ func (b *Builder) LoadTurtle(r io.Reader) (int, error) {
 // and execute rows are decoded, making those bit-compatible with the
 // single-engine ones.
 func (b *Builder) Build() *Cluster {
-	start := time.Now()
 	n := b.shards
 
 	// 1. Global artifacts: dictionary, classified graph, summary graph,
@@ -202,28 +136,14 @@ func (b *Builder) Build() *Cluster {
 	dict := gst.DictionaryView()
 	gsum.ReplaceData(graph.Build(dict))
 
-	// 6. Replica groups: R replicas per shard, each with its own direct
-	// transport and health record, under one circuit breaker per group.
-	res := b.res.withDefaults()
-	groups := make([]*group, n)
-	for i, sh := range shards {
-		reps := make([]*replica, b.replicas)
-		for r := range reps {
-			reps[r] = &replica{sh: sh, tr: directTransport{sh: sh}}
-		}
-		groups[i] = newGroup(i, reps, res)
-	}
-
 	return &Cluster{
 		cfg:          b.cfg,
 		shards:       shards,
-		groups:       groups,
 		dict:         dict,
 		sum:          gsum,
-		df:           keywordindex.MapDF(df),
+		df:           df,
 		numeric:      numeric,
 		explorer:     core.NewExplorer(),
 		totalTriples: total,
-		buildTime:    time.Since(start),
 	}
 }

@@ -18,19 +18,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Cluster is the coordinator over N shards. It implements engine.Queryer,
-// so the serving layer uses it interchangeably with a single engine. A
-// cluster is immutable (born sealed) and safe for any number of
-// concurrent searches and executions.
+// Cluster is the coordinator over N shards. Its SearchKContext,
+// ExecuteLimitContext and Explain return what the engine's do on the
+// same triples. A cluster is immutable (born sealed) and safe for any
+// number of concurrent searches and executions.
 type Cluster struct {
 	cfg    engine.Config
 	shards []*Shard
-
-	// groups holds one fault-tolerant replica group per shard; every
-	// scattered call (keyword lookup, bind-join step) goes through its
-	// shard's group — breaker, health-ordered selection, retries,
-	// hedging — rather than calling the Shard directly.
-	groups []*group
 
 	// dict is the coordinator's catalog: the full dictionary in the
 	// single-engine ID space (store.DictionaryView — no triples).
@@ -38,17 +32,14 @@ type Cluster struct {
 	// sum is the global summary graph, backed by a slim graph over dict.
 	sum *summary.Graph
 	// df is the corpus-wide term → document-frequency table (the global
-	// IDF statistics the merged keyword ranking needs). A built cluster
-	// backs it with the map extracted at build time; a snapshot-booted
-	// cluster backs it with the catalog's mapped DFTable.
-	df keywordindex.DF
+	// IDF statistics the merged keyword ranking needs).
+	df map[string]int
 	// numeric are the global numeric-attribute matches for filter
 	// keywords ("before 2005"), in coordinator IDs.
 	numeric []summary.Match
 
 	explorer     *core.Explorer
 	totalTriples int
-	buildTime    time.Duration
 
 	// MaxSteps bounds the total join iterations per distributed execute,
 	// mirroring exec.Engine.MaxSteps (0 applies exec.DefaultMaxSteps).
@@ -65,22 +56,8 @@ type Cluster struct {
 	scratch sync.Pool
 }
 
-var _ engine.Queryer = (*Cluster)(nil)
-
-// Config returns the engine configuration the cluster serves.
-func (c *Cluster) Config() engine.Config { return c.cfg }
-
-// Seal is a no-op: a cluster is born sealed.
-func (c *Cluster) Seal() {}
-
-// Sealed always reports true.
-func (c *Cluster) Sealed() bool { return true }
-
 // NumTriples returns the total number of distinct triples across shards.
 func (c *Cluster) NumTriples() int { return c.totalTriples }
-
-// BuildDuration returns the off-line partition-and-build time.
-func (c *Cluster) BuildDuration() time.Duration { return c.buildTime }
 
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
@@ -92,11 +69,6 @@ func (c *Cluster) ShardSizes() []int {
 		out[i] = sh.NumTriples()
 	}
 	return out
-}
-
-// Search runs the scatter-gather query computation with the configured k.
-func (c *Cluster) Search(keywords []string) ([]*engine.QueryCandidate, *engine.SearchInfo, error) {
-	return c.SearchKContext(context.Background(), keywords, 0)
 }
 
 // SearchKContext computes the top-k query candidates for a keyword query.
@@ -138,55 +110,35 @@ func (c *Cluster) SearchKContext(ctx context.Context, keywords []string, k int) 
 		scatter = append(scatter, i)
 	}
 
-	// Scatter: one fault-tolerant group call per shard computes the raw
-	// lookups for every non-filter keyword. raws[shard][j] answers
-	// keywords[scatter[j]]; a shard whose whole group fails (every
-	// replica errored, or its breaker was open) leaves raws[shard] nil
-	// and the query degrades to the shards that answered.
+	// Scatter: one goroutine per shard computes the raw lookups for
+	// every non-filter keyword; raws[shard][j] answers keywords[scatter[j]].
 	lctx, lookupSpan := trace.StartSpan(ctx, "lookup")
 	raws := make([][]*keywordindex.RawLookup, len(c.shards))
-	cov := newCovState(len(c.groups))
 	if len(scatter) > 0 {
 		var wg sync.WaitGroup
-		for si, g := range c.groups {
+		for si, sh := range c.shards {
 			wg.Add(1)
-			go func(si int, g *group) {
+			go func(si int, sh *Shard) {
 				defer wg.Done()
-				shCtx, shSpan := trace.StartSpan(lctx, "shard_lookup")
+				_, shSpan := trace.StartSpan(lctx, "shard_lookup")
 				defer shSpan.End()
 				if shSpan.Enabled() {
 					shSpan.Annotate("shard=" + strconv.Itoa(si))
 				}
-				out, st, err := groupCall(shCtx, g, func(actx context.Context, rep *replica, _ bool) ([]*keywordindex.RawLookup, error) {
-					part := make([]*keywordindex.RawLookup, len(scatter))
-					for j, ki := range scatter {
-						r, err := rep.tr.Lookup(actx, keywords[ki], opts)
-						if err != nil {
-							return nil, err
-						}
-						part[j] = r
+				part := make([]*keywordindex.RawLookup, len(scatter))
+				for j, ki := range scatter {
+					if ctx.Err() != nil {
+						return
 					}
-					return part, nil
-				})
-				cov.add(si, st, err != nil && ctx.Err() == nil)
-				if err != nil {
-					if shSpan.Enabled() {
-						shSpan.Annotate("failed: " + err.Error())
-					}
-					return
+					part[j] = sh.kwix.LookupRaw(keywords[ki], opts)
 				}
-				raws[si] = out
-			}(si, g)
+				raws[si] = part
+			}(si, sh)
 		}
 		wg.Wait()
 		if err := ctx.Err(); err != nil {
 			lookupSpan.End()
 			return nil, nil, err
-		}
-		if cov.allDown() {
-			lookupSpan.End()
-			info := &engine.SearchInfo{Coverage: cov.coverage()}
-			return nil, info, fmt.Errorf("shard: search failed: %w", ErrGroupDown)
 		}
 	}
 
@@ -195,15 +147,13 @@ func (c *Cluster) SearchKContext(ctx context.Context, keywords []string, k int) 
 	// against the global lexicon — is independent of the others, so the
 	// ComputeCandidates input assembly fans out across the intra-query
 	// worker cap alongside the lookups that produced it.
-	dfFn := c.df.DocFreq
+	dfFn := func(term string) int { return c.df[term] }
 	resolve := func(t rdf.Term) (store.ID, bool) { return c.dict.Lookup(t) }
 	_, mergeSpan := trace.StartSpan(lctx, "merge")
 	parallel.ForEach(parallel.Workers(c.cfg.Parallelism), len(scatter), func(j int) {
 		parts := make([]*keywordindex.RawLookup, len(c.shards))
 		for si := range c.shards {
-			if raws[si] != nil { // nil: shard group down, merge degrades
-				parts[si] = raws[si][j]
-			}
+			parts[si] = raws[si][j]
 		}
 		matches[scatter[j]] = keywordindex.MergeRaw(parts, opts, dfFn, resolve)
 	})
@@ -211,9 +161,6 @@ func (c *Cluster) SearchKContext(ctx context.Context, keywords []string, k int) 
 	lookupSpan.End()
 
 	info := &engine.SearchInfo{MatchCounts: make([]int, len(matches))}
-	if len(scatter) > 0 {
-		info.Coverage = cov.coverage()
-	}
 	var unmatched []string
 	for i, ms := range matches {
 		info.MatchCounts[i] = len(ms)

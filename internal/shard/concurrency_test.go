@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/trace"
 )
 
 // Concurrent scatter-gather coverage: many goroutines searching and
@@ -93,5 +94,57 @@ func TestClusterCancellation(t *testing.T) {
 	if _, _, err := cl.SearchKContext(dctx, []string{"publication", "2006"}, 0); err != nil &&
 		!errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("search under expired deadline: %v", err)
+	}
+}
+
+// spanNames counts the span names in a span tree.
+func spanNames(nodes []*trace.Node, into map[string]int) map[string]int {
+	if into == nil {
+		into = map[string]int{}
+	}
+	for _, n := range nodes {
+		into[n.Name]++
+		spanNames(n.Children, into)
+	}
+	return into
+}
+
+// TestClusterTraceHasShardSpans pins the scatter-gather visibility: a
+// traced search against a 4-shard cluster shows one shard_lookup child
+// per shard plus the merge step, and a traced execute shows the
+// per-step bind joins with their per-shard children.
+func TestClusterTraceHasShardSpans(t *testing.T) {
+	triples := datagen.DBLPTriples(datagen.DBLPConfig{Publications: 200, Seed: 1})
+	cl := buildCluster(t, 4, triples, engine.Config{K: 5})
+
+	tr := trace.New("search")
+	cands, _, err := cl.SearchKContext(tr.Context(context.Background()), []string{"thanh tran", "publication"}, 0)
+	tr.Finish()
+	names := spanNames(tr.Tree(), nil)
+	tr.Release()
+	if err != nil || len(cands) == 0 {
+		t.Fatalf("search: %d candidates, err %v", len(cands), err)
+	}
+	if names["shard_lookup"] != 4 {
+		t.Errorf("want 4 shard_lookup spans, got %d (%v)", names["shard_lookup"], names)
+	}
+	if names["merge"] == 0 {
+		t.Errorf("search trace missing merge span: %v", names)
+	}
+
+	tr = trace.New("execute")
+	_, err = cl.ExecuteLimitContext(tr.Context(context.Background()), cands[0], 0)
+	tr.Finish()
+	names = spanNames(tr.Tree(), nil)
+	tr.Release()
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	if names["bind_join_step"] == 0 {
+		t.Errorf("execute trace missing bind_join_step spans: %v", names)
+	}
+	if names["shard_join"] != 4*names["bind_join_step"] {
+		t.Errorf("want %d shard_join spans (4 per step), got %d",
+			4*names["bind_join_step"], names["shard_join"])
 	}
 }

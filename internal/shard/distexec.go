@@ -271,30 +271,14 @@ func (sh *Shard) evalStep(ctx context.Context, spec stepSpec, parents *bindTable
 	return out, used, false, nil
 }
 
-// stepResult is one shard group's answer to one scattered join step.
-type stepResult struct {
-	out    []ext
-	used   int64
-	capped bool
-}
-
-// scatterStep fans one join step out to every live shard group
-// concurrently and union-merges the extensions into the next binding
-// table (swapped with the current one by the caller). Disjoint
-// partitions guarantee the per-shard extension sets are disjoint, so the
-// merge is pure concatenation (deterministically ordered by shard, then
-// by local enumeration order).
-//
-// Fault discipline: each shard is reached through its replica group
-// (breaker, health order, retry, hedging). A group that fails outright
-// is marked down in cov for the remainder of the execute — its owned
-// extensions are lost and the result degrades to the surviving
-// partitions — while parent-context cancellation aborts the whole step.
-// The primary attempt appends into the shard's pooled extension buffer;
-// hedge and retry attempts allocate their own, because a losing primary
-// may still be scribbling the pooled buffer until groupCall's
-// cancel-and-wait completes.
-func (c *Cluster) scatterStep(ctx context.Context, sc *distScratch, spec stepSpec, cov *covState) (int64, bool, error) {
+// scatterStep fans one join step out to every shard concurrently and
+// union-merges the extensions into the next binding table (swapped with
+// the current one by the caller). Disjoint partitions guarantee the
+// per-shard extension sets are disjoint, so the merge is pure
+// concatenation (deterministically ordered by shard, then by local
+// enumeration order). Each shard appends into its pooled extension
+// buffer; context cancellation aborts the whole step.
+func (c *Cluster) scatterStep(ctx context.Context, sc *distScratch, spec stepSpec) (int64, bool, error) {
 	n := len(c.shards)
 	if cap(sc.exts) < n {
 		sc.exts = make([][]ext, n)
@@ -307,39 +291,14 @@ func (c *Cluster) scatterStep(ctx context.Context, sc *distScratch, spec stepSpe
 	sc.capped = sc.capped[:n]
 	sc.errs = sc.errs[:n]
 	var wg sync.WaitGroup
-	for i, g := range c.groups {
-		sc.exts[i] = sc.exts[i][:0]
-		sc.useds[i], sc.capped[i], sc.errs[i] = 0, false, nil
-		if cov.down(i) {
-			continue // failed earlier in this execute; skip
-		}
+	for i, sh := range c.shards {
 		wg.Add(1)
-		go func(i int, g *group) {
+		go func(i int, sh *Shard) {
 			defer wg.Done()
 			sctx, shSpan := trace.StartSpan(ctx, "shard_join")
 			defer shSpan.End()
-			res, st, err := groupCall(sctx, g, func(actx context.Context, rep *replica, primary bool) (stepResult, error) {
-				buf := sc.exts[i]
-				if !primary {
-					buf = nil
-				}
-				out, used, capped, err := rep.tr.EvalStep(actx, spec, &sc.cur, buf)
-				if err != nil {
-					return stepResult{}, err
-				}
-				return stepResult{out: out, used: used, capped: capped}, nil
-			})
-			cov.add(i, st, err != nil && ctx.Err() == nil)
-			if err != nil {
-				if ctx.Err() != nil {
-					sc.errs[i] = ctx.Err()
-				} else if shSpan.Enabled() {
-					shSpan.Annotate("failed: " + err.Error())
-				}
-				return
-			}
-			sc.exts[i], sc.useds[i], sc.capped[i] = res.out, res.used, res.capped
-		}(i, g)
+			sc.exts[i], sc.useds[i], sc.capped[i], sc.errs[i] = sh.evalStep(sctx, spec, &sc.cur, sc.exts[i][:0])
+		}(i, sh)
 	}
 	wg.Wait()
 	var used int64
@@ -350,9 +309,6 @@ func (c *Cluster) scatterStep(ctx context.Context, sc *distScratch, spec stepSpe
 		}
 		used += sc.useds[i]
 		wasCapped = wasCapped || sc.capped[i]
-	}
-	if cov.allDown() {
-		return used, false, fmt.Errorf("shard: bind-join step failed on every shard: %w", ErrGroupDown)
 	}
 
 	p := spec.pat
@@ -503,8 +459,6 @@ func (c *Cluster) ExecuteLimitContext(ctx context.Context, cand *engine.QueryCan
 	}
 
 	rs := &exec.ResultSet{Vars: dist}
-	cov := newCovState(len(c.groups))
-	defer func() { rs.Stats.Coverage = cov.coverage() }()
 
 	for stepIdx, pi := range order {
 		p := pats[pi]
@@ -518,7 +472,7 @@ func (c *Cluster) ExecuteLimitContext(ctx context.Context, cand *engine.QueryCan
 			spec.cap = limit
 		}
 		sctx, stepSpan := trace.StartSpan(ctx, "bind_join_step")
-		used, capped, err := c.scatterStep(sctx, sc, spec, cov)
+		used, capped, err := c.scatterStep(sctx, sc, spec)
 		stepSpan.End()
 		if err != nil {
 			return nil, err

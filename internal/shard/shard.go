@@ -1,8 +1,11 @@
-// Package shard runs the pipeline over N subject-partitioned shards
-// behind one coordinator — the horizontal-scale step that turns the
-// single sealed engine into a system whose data can outgrow one heap.
+// Package shard is the benchmark's comparison cluster: the pipeline run
+// over N subject-partitioned shards behind one in-process coordinator.
+// It is not served — serverd, buildindex and internal/server use the
+// engine alone. It stays for two readers: the benchmark's shard.* rows,
+// which time it against the engine on identical requests, and the
+// equivalence tests, which prove it answers exactly as the engine does.
 //
-// Offline, Builder splits the triple stream by subject hash: every triple
+// Builder splits the triple stream by subject hash: every triple
 // (s, p, o) lives on shard hash(s) mod N, except class-membership and
 // schema triples (rdf:type, rdfs:subClassOf, and rdfs:label of classes
 // and predicates), which are replicated to every shard so each shard can
@@ -11,9 +14,6 @@
 // coordinator keeps the global summary graph (small: class-level), a
 // dictionary-only catalog in the single-engine ID space, and the global
 // lexicon statistics — but no triples.
-//
-// Online, Cluster implements the same engine.Queryer surface as
-// engine.Engine, so internal/server serves either transparently:
 //
 //   - Search scatters the keyword-to-element mapping across all shards
 //     concurrently (keywordindex.LookupRaw), merges the contributions at
@@ -27,9 +27,8 @@
 //     pushed into the final join step when sound, and context
 //     cancellation is threaded into every shard call.
 //
-// Results are provably equivalent to a single engine's — see DESIGN.md,
-// "Sharded cluster", for the partitioning invariant and the equivalence
-// argument; internal/shard's golden tests assert it bit-for-bit.
+// See DESIGN.md, "The comparison cluster", for the partitioning
+// invariant and the equivalence argument.
 package shard
 
 import (
@@ -66,9 +65,6 @@ type Shard struct {
 	local2global []store.ID
 	global2local []store.ID
 }
-
-// ID returns the shard's index in the cluster.
-func (sh *Shard) ID() int { return sh.id }
 
 // NumTriples returns the number of owned triples.
 func (sh *Shard) NumTriples() int { return sh.data.Len() }

@@ -51,8 +51,8 @@ func (e *CRCError) Error() string {
 }
 
 // NotFoundError reports a missing section: the file is valid but does
-// not carry the requested payload (e.g. an engine snapshot passed
-// where a shard snapshot is expected).
+// not carry the requested payload (e.g. a component's sections are
+// absent from the requested group).
 type NotFoundError struct {
 	Kind, Group uint32
 }

@@ -56,8 +56,8 @@ const (
 // Section kinds. The (kind, group) pair addresses a section within a
 // file; kinds are defined centrally here so every layer draws from one
 // namespace and observability can name any section. Groups distinguish
-// multiple instances of the same component in one file (e.g. a shard's
-// data store vs its index store).
+// multiple instances of the same component in one file; an engine
+// snapshot uses one group.
 const (
 	SecMeta uint32 = 1 // snapshot-level JSON metadata
 
@@ -93,14 +93,6 @@ const (
 	// Numeric-attribute matches (standalone match list).
 	SecNumericRecs  uint32 = 23
 	SecNumericArena uint32 = 24
-
-	// Global document-frequency table (cluster catalog).
-	SecDFRecs  uint32 = 25
-	SecDFArena uint32 = 26
-
-	// Shard ID-translation tables.
-	SecTransL2G uint32 = 27
-	SecTransG2L uint32 = 28
 )
 
 var kindNames = map[uint32]string{
@@ -128,10 +120,6 @@ var kindNames = map[uint32]string{
 	SecKwixMeta:       "kwix-meta",
 	SecNumericRecs:    "numeric-records",
 	SecNumericArena:   "numeric-arena",
-	SecDFRecs:         "df-records",
-	SecDFArena:        "df-arena",
-	SecTransL2G:       "trans-local-to-global",
-	SecTransG2L:       "trans-global-to-local",
 }
 
 // KindName returns the human-readable name of a section kind, for

@@ -18,7 +18,7 @@ const (
 	// back to a heap read otherwise.
 	ModeAuto Mode = iota
 	// ModeMmap memory-maps the file: load cost is independent of file
-	// size and cold sections are paged in on first touch, so a shard
+	// size and cold sections are paged in on first touch, so an index
 	// no longer needs its full columns resident.
 	ModeMmap
 	// ModeHeap reads the whole file into an aligned heap buffer.
@@ -32,7 +32,7 @@ type Options struct {
 	// framing checks (magic, version, byte order, footer, directory
 	// CRC, bounds) always run. Skipping payload verification keeps
 	// open time independent of file size — required for true lazy
-	// page-in of beyond-RAM shards — at the cost of detecting payload
+	// page-in of beyond-RAM files — at the cost of detecting payload
 	// corruption only by misbehaviour instead of at the door.
 	SkipVerify bool
 }

@@ -1,18 +1,17 @@
 // Package snapshot is the high-level face of the persistence
-// subsystem: it writes a sealed engine (or, via package shard, a
-// cluster) into the snapfmt container format and boots one back by
-// mmap + pointer fixup, with zero re-derivation of orderings,
-// postings, or the summary graph.
+// subsystem: it writes a sealed engine into the snapfmt container
+// format and boots one back by mmap + pointer fixup, with zero
+// re-derivation of orderings, postings, or the summary graph.
 //
 // One engine snapshot is one .swdb file holding, under a single
 // section group: the store's dictionary and three SoA orderings, the
 // data graph's vertex classification, the summary graph, and the
-// keyword index. A cluster snapshot is a directory of such containers
-// — one catalog plus one file per shard (see shard.WriteSnapshotDir).
+// keyword index.
 package snapshot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -26,16 +25,22 @@ import (
 	"repro/internal/thesaurus"
 )
 
-// GroupPrimary is the section group of a single-engine snapshot's
-// components (cluster files use per-store groups; see package shard).
+// GroupPrimary is the section group of an engine snapshot's components.
 const GroupPrimary uint32 = 0
 
-// Layout names for Meta.Layout.
+// Layout names for Meta.Layout. Only LayoutEngine is loadable; the two
+// cluster layouts name files an earlier cluster snapshot writer left
+// behind, so LoadEngine can refuse them by name.
 const (
 	LayoutEngine  = "engine"
 	LayoutCatalog = "cluster-catalog"
 	LayoutShard   = "cluster-shard"
 )
+
+// ErrClusterSnapshot reports a cluster snapshot: a cluster-catalog or
+// cluster-shard file, or the directory that held them. The engine cannot
+// boot from either; rebuild the data into one engine file.
+var ErrClusterSnapshot = errors.New("cluster snapshots are no longer supported; rebuild with buildindex -snapshot FILE")
 
 // Meta is the JSON snapshot-level metadata section, identifying what
 // the file holds and where it came from.
@@ -43,8 +48,6 @@ type Meta struct {
 	Layout      string `json:"layout"`
 	Triples     int    `json:"triples"`
 	Terms       int    `json:"terms"`
-	Shards      int    `json:"shards,omitempty"`
-	Shard       int    `json:"shard,omitempty"`
 	CreatedUnix int64  `json:"created_unix,omitempty"`
 	Tool        string `json:"tool,omitempty"`
 }
@@ -87,14 +90,12 @@ type LoadOptions struct {
 // SectionSize describes one section's on-disk footprint, for the
 // observability surface.
 type SectionSize struct {
-	File  string `json:"file,omitempty"`
 	Name  string `json:"name"`
-	Group uint32 `json:"group,omitempty"`
 	Bytes int64  `json:"bytes"`
 }
 
 // Info describes a completed snapshot load. It owns the underlying
-// mappings: the loaded engine/cluster is valid until Close.
+// mapping: the loaded engine is valid until Close.
 type Info struct {
 	Path          string
 	FormatVersion int
@@ -103,33 +104,19 @@ type Info struct {
 	TotalBytes    int64
 	Sections      []SectionSize
 
-	readers []*snapfmt.Reader
+	r *snapfmt.Reader
 }
 
-// Track appends a reader's sections to the info and takes ownership of
-// its lifetime.
-func (i *Info) Track(r *snapfmt.Reader, file string) {
-	i.readers = append(i.readers, r)
-	i.FormatVersion = r.FormatVersion()
-	i.Mode = r.ModeName()
-	i.TotalBytes += r.Size()
-	for _, s := range r.Sections() {
-		i.Sections = append(i.Sections, SectionSize{File: file, Name: s.Name, Group: s.Group, Bytes: s.Bytes})
-	}
-}
-
-// Close unmaps every region backing the load. The engine or cluster
-// fixed up from it must not be used afterwards. A serving process
-// normally never calls this; tests and benchmarks do.
+// Close unmaps the region backing the load. The engine fixed up from it
+// must not be used afterwards. A serving process normally never calls
+// this; tests and benchmarks do.
 func (i *Info) Close() error {
-	var first error
-	for _, r := range i.readers {
-		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
+	if i.r == nil {
+		return nil
 	}
-	i.readers = nil
-	return first
+	err := i.r.Close()
+	i.r = nil
+	return err
 }
 
 // WriteEngine snapshots a built engine into one container file. The
@@ -176,6 +163,9 @@ func WriteEngine(path string, e *engine.Engine) (err error) {
 // owns the mapping; keep it alive as long as the engine serves.
 func LoadEngine(path string, cfg engine.Config, opts LoadOptions) (*engine.Engine, *Info, error) {
 	start := time.Now()
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return nil, nil, fmt.Errorf("snapshot: %s is a directory, the shape of a cluster snapshot: %w", path, ErrClusterSnapshot)
+	}
 	r, err := snapfmt.Open(path, snapfmt.Options{Mode: opts.Mode, SkipVerify: opts.SkipVerify})
 	if err != nil {
 		return nil, nil, err
@@ -188,36 +178,45 @@ func LoadEngine(path string, cfg engine.Config, opts LoadOptions) (*engine.Engin
 	if meta.Layout != LayoutEngine {
 		r.Close()
 		if meta.Layout == LayoutShard || meta.Layout == LayoutCatalog {
-			return nil, nil, fmt.Errorf("snapshot: %s is a %s partition file; pass the snapshot directory instead", path, meta.Layout)
+			return nil, nil, fmt.Errorf("snapshot: %s is a %s file: %w", path, meta.Layout, ErrClusterSnapshot)
 		}
 		return nil, nil, fmt.Errorf("snapshot: %s has unknown layout %q", path, meta.Layout)
 	}
-	eng, err := readEngineParts(r, GroupPrimary, cfg, start)
+	eng, err := readEngineParts(r, cfg, start)
 	if err != nil {
 		r.Close()
 		return nil, nil, err
 	}
-	info := &Info{Path: path, LoadDuration: time.Since(start)}
-	info.Track(r, "")
+	info := &Info{
+		Path:          path,
+		FormatVersion: r.FormatVersion(),
+		Mode:          r.ModeName(),
+		LoadDuration:  time.Since(start),
+		TotalBytes:    r.Size(),
+		r:             r,
+	}
+	for _, s := range r.Sections() {
+		info.Sections = append(info.Sections, SectionSize{Name: s.Name, Bytes: s.Bytes})
+	}
 	return eng, info, nil
 }
 
-// readEngineParts fixes up the four components of an engine from one
-// group of an open container.
-func readEngineParts(r *snapfmt.Reader, group uint32, cfg engine.Config, start time.Time) (*engine.Engine, error) {
-	st, err := store.ReadSections(r, group)
+// readEngineParts fixes up the four components of an engine from the
+// primary group of an open container.
+func readEngineParts(r *snapfmt.Reader, cfg engine.Config, start time.Time) (*engine.Engine, error) {
+	st, err := store.ReadSections(r, GroupPrimary)
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.ReadSections(r, group, st)
+	g, err := graph.ReadSections(r, GroupPrimary, st)
 	if err != nil {
 		return nil, err
 	}
-	sum, err := summary.ReadSections(r, group, g)
+	sum, err := summary.ReadSections(r, GroupPrimary, g)
 	if err != nil {
 		return nil, err
 	}
-	kwix, err := keywordindex.ReadSections(r, group, g, loadThesaurus(cfg))
+	kwix, err := keywordindex.ReadSections(r, GroupPrimary, g, loadThesaurus(cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/rdf"
-	"repro/internal/shard"
 	"repro/internal/snapfmt"
 	"repro/internal/snapshot"
 )
@@ -287,24 +286,35 @@ func TestEngineSnapshotCorruptionMatrix(t *testing.T) {
 	})
 }
 
-// TestLoadEngineRejectsClusterFiles pins the misuse errors: handing a
-// cluster partition file to the engine loader must say to pass the
-// directory, not fail with a missing-section error.
+// TestLoadEngineRejectsClusterFiles pins the misuse errors: a file an
+// earlier cluster snapshot writer left behind (catalog or shard layout),
+// or the directory that held them, must be refused with
+// ErrClusterSnapshot and the rebuild hint, not with a missing-section
+// error or a bare EISDIR.
 func TestLoadEngineRejectsClusterFiles(t *testing.T) {
-	b := shard.NewBuilder(2, engine.Config{})
-	b.AddTriples(datagen.DBLPTriples(datagen.DBLPConfig{Publications: 60, Seed: 1}))
-	cl := b.Build()
 	dir := t.TempDir()
-	if err := cl.WriteSnapshotDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	for _, file := range []string{shard.CatalogFile, shard.ShardFile(0)} {
-		_, _, err := snapshot.LoadEngine(filepath.Join(dir, file), engine.Config{}, snapshot.LoadOptions{})
-		if err == nil {
-			t.Fatalf("%s: engine loader accepted a cluster file", file)
+	paths := []string{dir}
+	for _, layout := range []string{snapshot.LayoutCatalog, snapshot.LayoutShard} {
+		path := filepath.Join(dir, layout+".swdb")
+		w, err := snapfmt.Create(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := "pass the snapshot directory"; !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %q does not hint %q", file, err, want)
+		if err := snapshot.WriteMeta(w, snapshot.Meta{Layout: layout, Triples: 1, Terms: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
+		_, _, err := snapshot.LoadEngine(path, engine.Config{}, snapshot.LoadOptions{})
+		if !errors.Is(err, snapshot.ErrClusterSnapshot) {
+			t.Fatalf("%s: got %v, want ErrClusterSnapshot", path, err)
+		}
+		if want := "buildindex -snapshot FILE"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not hint %q", path, err, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/rdf"
 )
 
@@ -152,6 +153,9 @@ func TestRangeViewColumnsAgree(t *testing.T) {
 // TestRangeZeroAlloc is the regression the join core depends on: a
 // pattern lookup on a built store allocates nothing, for any shape.
 func TestRangeZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
 	rng := rand.New(rand.NewSource(3))
 	st := randStore(rng, 50, 400)
 	st.Build()

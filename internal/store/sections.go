@@ -66,9 +66,9 @@ func (s *Store) WriteSections(w *snapfmt.Writer, group uint32) error {
 	}
 	subjOff, predOff, objOff := s.subjOff, s.predOff, s.objOff
 	if len(subjOff) == 0 {
-		// A store that never indexed any triples (e.g. a DictionaryView
-		// serving as a cluster catalog) has no offset tables; serialize
-		// all-zero ones so the loaded store ranges as empty.
+		// A store that never indexed any triples (e.g. a DictionaryView)
+		// has no offset tables; serialize all-zero ones so the loaded
+		// store ranges as empty.
 		tl := n + 2
 		zero := make([]int32, 3*tl)
 		subjOff, predOff, objOff = zero[0:tl:tl], zero[tl:2*tl:2*tl], zero[2*tl:]

@@ -1,8 +1,8 @@
 // Package trace is the request-scoped span tracer of the serving path: a
 // dependency-free, allocation-conscious record of where the time inside
 // one query went — keyword lookup vs oracle build vs exploration vs join
-// vs shard fan-out — threaded through the online code via
-// context.Context, exactly like cancellation already is.
+// — threaded through the online code via context.Context, exactly like
+// cancellation already is.
 //
 // Design discipline matches the core cursor slab: spans live in a flat
 // slab owned by the Trace, parents are int32 indices into it (no
